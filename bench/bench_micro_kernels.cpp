@@ -11,6 +11,7 @@
 #include "nn/conv2d.h"
 #include "rl/lstm.h"
 #include "runtime/supernet_host.h"
+#include "tensor/conv_kernels.h"
 #include "tensor/gemm.h"
 #include "tensor/quantize.h"
 
@@ -140,4 +141,16 @@ BENCHMARK(BM_SubmodelSwitch);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  // Name the int8 depthwise path in the JSON context, so a recorded
+  // Conv2dInt8 number says whether the vector kernel or the scalar
+  // fallback produced it.
+  benchmark::AddCustomContext(
+      "int8_depthwise_vectorized",
+      kernels::int8_depthwise_vectorized() ? "true" : "false");
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

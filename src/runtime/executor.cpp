@@ -1,13 +1,16 @@
 #include "runtime/executor.h"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <cstring>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 
 #include "obs/trace.h"
 #include "supernet/cost_model.h"
+#include "tensor/gemm.h"
 #include "tensor/workspace.h"
 
 namespace murmur::runtime {
@@ -53,33 +56,56 @@ std::uint64_t make_tag(int block, int tile, int piece) {
          static_cast<std::uint64_t>(piece);
 }
 
-/// Stack same-shaped single-sample tensors (leading dim 1) along the batch
-/// dimension. Row-major layout makes each sample a contiguous span, so the
-/// stacked tensor holds every sample's bytes unchanged.
-Tensor stack_samples(const std::vector<Tensor>& samples) {
-  assert(!samples.empty());
-  const auto& shape0 = samples.front().shape();
-  assert(shape0[0] == 1);
-  std::vector<int> shape = shape0;
-  shape[0] = static_cast<int>(samples.size());
+/// Concatenate same-shaped tensors along the leading (member) dimension.
+/// Row-major layout makes each member a contiguous span, so the result
+/// holds every member's bytes unchanged.
+Tensor concat_members(const std::vector<Tensor>& parts) {
+  assert(!parts.empty());
+  std::vector<int> shape = parts.front().shape();
+  shape[0] = 0;
+  for (const auto& t : parts) {
+    assert(t.rank() == shape.size() &&
+           std::equal(shape.begin() + 1, shape.end(), t.shape().begin() + 1));
+    shape[0] += t.dim(0);
+  }
   Tensor out(shape);
-  const std::size_t per = samples.front().size();
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    assert(samples[i].shape() == shape0);
-    std::memcpy(out.raw() + i * per, samples[i].raw(), per * sizeof(float));
+  float* dst = out.raw();
+  for (const auto& t : parts) {
+    std::memcpy(dst, t.raw(), t.bytes());
+    dst += t.size();
   }
   return out;
 }
 
-/// Copy sample `i` of a batched tensor back out as a leading-dim-1 tensor.
-Tensor slice_sample(const Tensor& batch, int i) {
-  assert(batch.dim(0) > i);
+/// Copy members [b, e) of a batched tensor out as their own tensor.
+Tensor slice_members(const Tensor& batch, int b, int e) {
+  assert(0 <= b && b < e && e <= batch.dim(0));
   std::vector<int> shape = batch.shape();
-  shape[0] = 1;
+  shape[0] = e - b;
   Tensor out(shape);
-  std::memcpy(out.raw(), batch.raw() + static_cast<std::size_t>(i) * out.size(),
-              out.size() * sizeof(float));
+  std::memcpy(out.raw(), batch.raw() + static_cast<std::size_t>(b) *
+                                           (batch.size() / batch.dim(0)),
+              out.bytes());
   return out;
+}
+
+/// Run one unit forward over a fused batch split along the member
+/// dimension into kernel_chunks(n) contiguous chunks on the kernel pool,
+/// stacking the chunk outputs back in member order. A chunk is just a
+/// smaller fused batch and per-sample accumulation order never depends on
+/// the batch size, so every member's output is bitwise what the unsplit
+/// forward produces.
+template <typename Forward>
+Tensor forward_members(const Tensor& x, Forward&& forward) {
+  const auto n = static_cast<std::size_t>(x.dim(0));
+  const std::size_t chunks = kernel_chunks(n);
+  if (chunks <= 1) return forward(x);
+  std::vector<Tensor> outs(chunks);
+  kernel_parallel_for(chunks, [&](std::size_t c) {
+    outs[c] = forward(slice_members(x, static_cast<int>(c * n / chunks),
+                                    static_cast<int>((c + 1) * n / chunks)));
+  });
+  return concat_members(outs);
 }
 
 }  // namespace
@@ -443,9 +469,12 @@ ExecutionReport DistributedExecutor::run(
 BatchExecutionReport DistributedExecutor::run_batch(
     const std::vector<Tensor>& images, const SubnetConfig& config,
     const partition::PlacementPlan& plan, const std::vector<double>& sim_start_ms) {
-  assert(!images.empty());
-  assert(sim_start_ms.size() == images.size());
+  if (sim_start_ms.size() != images.size())
+    throw std::invalid_argument(
+        "run_batch: sim_start_ms has " + std::to_string(sim_start_ms.size()) +
+        " entries for " + std::to_string(images.size()) + " images");
   BatchExecutionReport out;
+  if (images.empty()) return out;
   const auto t_start = std::chrono::steady_clock::now();
 
   // Failover is a per-request protocol (per-request sim anchors, per-device
@@ -483,7 +512,7 @@ BatchExecutionReport DistributedExecutor::run_batch(
     qts.reserve(static_cast<std::size_t>(n));
     std::size_t wire = 0;
     for (int i = 0; i < n; ++i) {
-      qts.push_back(quantize(slice_sample(region, i), bits));
+      qts.push_back(quantize(slice_members(region, i, i + 1), bits));
       wire += qts.back().wire_bytes();
     }
     transport_.send(src, dst, tag, encode_activation_batch(qts), wire, 0.0);
@@ -495,8 +524,9 @@ BatchExecutionReport DistributedExecutor::run_batch(
     std::vector<Tensor> deq;
     deq.reserve(qts->size());
     for (const auto& qt : *qts) deq.push_back(dequantize(qt));
-    return stack_samples(deq);
+    return concat_members(deq);
   };
+  const auto stem = [&](const Tensor& x) { return supernet_.forward_stem(x); };
 
   int partitioned_blocks = 0;
 
@@ -505,11 +535,11 @@ BatchExecutionReport DistributedExecutor::run_batch(
   {
     const int stem_dev = plan.stem_device;
     if (stem_dev != 0) {
-      send_batch(stack_samples(images), QuantBits::k32, 0, stem_dev,
+      send_batch(concat_members(images), QuantBits::k32, 0, stem_dev,
                  btag(-1, 0, 0));
-      current = supernet_.forward_stem(recv_batch(stem_dev, btag(-1, 0, 0)));
+      current = forward_members(recv_batch(stem_dev, btag(-1, 0, 0)), stem);
     } else {
-      current = supernet_.forward_stem(stack_samples(images));
+      current = forward_members(concat_members(images), stem);
     }
   }
   std::vector<std::pair<TileExtent, int>> pieces{
@@ -554,7 +584,9 @@ BatchExecutionReport DistributedExecutor::run_batch(
                               got.dim(2), got.dim(3)};
           paste_overlap(got, ge, input, de);
         }
-        outputs[t] = supernet_.forward_block_tile(static_cast<int>(b), input);
+        outputs[t] = forward_members(input, [&](const Tensor& x) {
+          return supernet_.forward_block_tile(b, x);
+        });
       }));
     }
 
@@ -609,7 +641,8 @@ BatchExecutionReport DistributedExecutor::run_batch(
                     se, current,
                     TileExtent{0, 0, current.dim(2), current.dim(3)});
     }
-    logits = supernet_.forward_head(current);
+    logits = forward_members(
+        current, [&](const Tensor& x) { return supernet_.forward_head(x); });
     if (head_dev != 0) {
       send_batch(logits, QuantBits::k32, head_dev, 0, btag(1001, 0, 0));
       logits = recv_batch(0, btag(1001, 0, 0));
@@ -641,7 +674,7 @@ BatchExecutionReport DistributedExecutor::run_batch(
   out.reports.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     ExecutionReport r;
-    r.logits = slice_sample(logits, i);
+    r.logits = slice_members(logits, i, i + 1);
     r.sim_latency_ms = sim_lat;
     r.sim_occupancy_ms = sim_occ;
     r.wall_ms = out.wall_ms / n;

@@ -113,9 +113,15 @@ class DistributedExecutor {
   /// dispatched to the device pool before the send loop runs, and tag
   /// epochs give consecutive batches disjoint mailbox namespaces so a
   /// batch's trailing receives never alias the next batch's leading sends.
+  /// Each unit forward (stem, every tile, head) is split along the member
+  /// dimension into contiguous chunks run concurrently on the kernel pool
+  /// (tensor/gemm.h kernel_parallel_for); the split sits between receive
+  /// and send, so envelopes, payload bytes and the sim clock do not change.
   /// With a fault injector attached (failover is a per-request protocol)
   /// or a single-member batch, the batch decomposes to per-request run()
-  /// calls with per-member sim anchors.
+  /// calls with per-member sim anchors. An empty batch returns an empty
+  /// report; throws std::invalid_argument unless sim_start_ms has one
+  /// entry per image.
   BatchExecutionReport run_batch(const std::vector<Tensor>& images,
                                  const supernet::SubnetConfig& config,
                                  const partition::PlacementPlan& plan,

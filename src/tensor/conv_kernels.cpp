@@ -27,6 +27,8 @@
 
 namespace murmur::kernels {
 
+bool int8_depthwise_vectorized() noexcept { return MURMUR_INT8_DW_VEC != 0; }
+
 namespace {
 
 /// Accumulate one bounds-checked output pixel (border path).

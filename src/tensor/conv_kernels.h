@@ -26,6 +26,14 @@
 
 namespace murmur::kernels {
 
+/// True when `depthwise_conv2d_int8` runs its AVX-512 VNNI+VBMI kernel for
+/// the common strides, false when every call takes the scalar integer
+/// path. Defined out of line on purpose: only the kernel sources are built
+/// with the target flags (-march=native), so the answer must come from the
+/// translation unit that holds the kernel, not from the caller's.
+/// Benchmarks record it so a measurement names the path that actually ran.
+bool int8_depthwise_vectorized() noexcept;
+
 /// Depthwise convolution: in (C,H,W), weights (C,k,k), optional bias (C),
 /// out (C,oh,ow) fully overwritten. `pad` is the symmetric zero padding.
 void depthwise_conv2d(const float* in, int channels, int h, int w,

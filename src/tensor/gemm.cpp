@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
+#include <memory>
+#include <mutex>
 #include <thread>
 
 #include "common/thread_pool.h"
@@ -188,14 +192,53 @@ void gemm_band(int m0, int m1, int k, int n, const float* MURMUR_RESTRICT a,
   }
 }
 
-/// Process-wide pool for row-parallel GEMM dispatch. Lazily constructed on
-/// first over-threshold call; never used recursively (the band tasks call
-/// only the single-thread path), so waiting on it from the executor's tile
-/// workers cannot deadlock.
+/// Process-wide kernel pool behind kernel_parallel_for. Lazily constructed
+/// on first parallel call with one worker fewer than the kernel thread
+/// count: the calling thread always works too.
 ThreadPool& kernel_pool() {
-  static ThreadPool pool(static_cast<std::size_t>(gemm_kernel_threads()));
+  static ThreadPool pool(static_cast<std::size_t>(
+      std::max(1, gemm_kernel_threads() - 1)));
   return pool;
 }
+
+/// Nonzero while this thread runs a kernel_parallel_for task; nested
+/// parallel calls then run inline instead of queueing behind the tasks
+/// that are already occupying the pool.
+thread_local int t_task_depth = 0;
+
+/// Shared state of one kernel_parallel_for call. Workers hold it by
+/// shared_ptr, so a helper dequeued after every task was claimed finds the
+/// counter exhausted and leaves without touching `fn` — which is only
+/// dereferenced for a claimed task, while the caller is still waiting.
+struct ParallelRegion {
+  ParallelRegion(std::size_t n, const std::function<void(std::size_t)>& f)
+      : tasks(n), fn(&f) {}
+
+  /// Claim and run tasks until none is left unclaimed.
+  void work() {
+    ++t_task_depth;
+    for (std::size_t i; (i = next.fetch_add(1)) < tasks;) {
+      std::exception_ptr err;
+      try {
+        (*fn)(i);
+      } catch (...) {
+        err = std::current_exception();
+      }
+      std::lock_guard lock(mutex);
+      if (err && !error) error = err;
+      if (++done == tasks) cv.notify_all();
+    }
+    --t_task_depth;
+  }
+
+  const std::size_t tasks;
+  const std::function<void(std::size_t)>* fn;
+  std::atomic<std::size_t> next{0};
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::size_t done = 0;      // guarded by mutex
+  std::exception_ptr error;  // first failure; guarded by mutex
+};
 
 }  // namespace
 
@@ -223,23 +266,48 @@ void gemm_override_threads(int n) noexcept {
 
 std::size_t gemm_parallel_flops() noexcept { return kParallelFlops; }
 
+std::size_t kernel_chunks(std::size_t n) noexcept {
+  if (n == 0) return 0;
+  if (t_task_depth > 0) return 1;
+  return std::min(n, static_cast<std::size_t>(gemm_kernel_threads()));
+}
+
+void kernel_parallel_for(std::size_t tasks,
+                         const std::function<void(std::size_t)>& fn) {
+  if (tasks <= 1 || gemm_kernel_threads() == 1 || t_task_depth > 0) {
+    for (std::size_t i = 0; i < tasks; ++i) fn(i);
+    return;
+  }
+  const auto region = std::make_shared<ParallelRegion>(tasks, fn);
+  ThreadPool& pool = kernel_pool();
+  const std::size_t helpers = std::min(tasks - 1, pool.size());
+  for (std::size_t h = 0; h < helpers; ++h)
+    (void)pool.submit([region] { region->work(); });
+  region->work();
+  std::unique_lock lock(region->mutex);
+  region->cv.wait(lock, [&] { return region->done == tasks; });
+  if (region->error) std::rethrow_exception(region->error);
+}
+
 void gemm(int m, int k, int n, const float* a, const float* b, float* c) {
   if (m <= 0 || k <= 0 || n <= 0) return;
   MURMUR_SPAN("kernel.gemm", "kernel", obs::maybe_histogram("kernel.gemm_ms"));
   const std::size_t flops = 2u * static_cast<std::size_t>(m) *
                             static_cast<std::size_t>(k) *
                             static_cast<std::size_t>(n);
-  const int threads = gemm_kernel_threads();
-  if (threads > 1 && flops >= kParallelFlops && m >= 2 * kMR) {
-    // Row bands, each a multiple of kMR so no micro-tile straddles bands.
-    const int bands = std::min(threads, (m + kMR - 1) / kMR);
+  // Row bands, each a multiple of kMR so no micro-tile straddles bands.
+  const int bands =
+      flops >= kParallelFlops && m >= 2 * kMR
+          ? static_cast<int>(kernel_chunks(
+                static_cast<std::size_t>((m + kMR - 1) / kMR)))
+          : 1;
+  if (bands > 1) {
     const int rows_per = ((m + bands - 1) / bands + kMR - 1) / kMR * kMR;
-    kernel_pool().parallel_for(
-        static_cast<std::size_t>(bands), [&](std::size_t t) {
-          const int m0 = static_cast<int>(t) * rows_per;
-          const int m1 = std::min(m, m0 + rows_per);
-          if (m0 < m1) gemm_band(m0, m1, k, n, a, b, c);
-        });
+    kernel_parallel_for(static_cast<std::size_t>(bands), [&](std::size_t t) {
+      const int m0 = static_cast<int>(t) * rows_per;
+      const int m1 = std::min(m, m0 + rows_per);
+      if (m0 < m1) gemm_band(m0, m1, k, n, a, b, c);
+    });
     return;
   }
   gemm_band(0, m, k, n, a, b, c);

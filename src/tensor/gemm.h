@@ -6,9 +6,13 @@
 // flop threshold — row bands are dispatched across a process-wide kernel
 // thread pool. The naive triple-loop version survives as `gemm_ref` for
 // differential testing and packed-vs-naive benchmarks.
+//
+// The same pool serves coarser work through `kernel_parallel_for`: the
+// distributed executor splits a fused batch's members across it.
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -19,7 +23,7 @@ namespace murmur {
 /// explicit micro-kernel; scratch comes from the calling thread's
 /// Workspace; dispatches row bands over the kernel pool when the problem
 /// exceeds `gemm_parallel_flops()` and more than one kernel thread is
-/// configured.
+/// configured (inline when called from inside a kernel_parallel_for task).
 void gemm(int m, int k, int n, const float* a, const float* b, float* c);
 
 /// A(m×k) repacked once into `gemm`'s internal micro-panel layout so the
@@ -67,15 +71,33 @@ void gemv(int m, int k, const float* a, const float* x, const float* bias,
 /// Flop count (2·m·k·n) above which `gemm` considers parallel dispatch.
 std::size_t gemm_parallel_flops() noexcept;
 
-/// Number of kernel-pool threads `gemm` may use. Defaults to the hardware
-/// concurrency; override with MURMUR_KERNEL_THREADS (1 disables the
-/// parallel path). Read once, at first use.
+/// Number of threads, the caller included, that kernel_parallel_for work
+/// may use: gemm's row bands and the executor's member split. Defaults to
+/// the hardware concurrency; override with MURMUR_KERNEL_THREADS (1
+/// disables both parallel paths). Read once, at first use.
 int gemm_kernel_threads() noexcept;
 
 /// Test hook: force the kernel thread count (0 restores the default).
 /// Call before the first over-threshold gemm so the pool is sized to
 /// match; intended for differential tests of the parallel dispatch path.
 void gemm_override_threads(int n) noexcept;
+
+/// Number of contiguous chunks to split `n` independent items into for
+/// `kernel_parallel_for`: min(n, gemm_kernel_threads()), or 1 when called
+/// from inside a kernel_parallel_for task (nested work runs inline).
+std::size_t kernel_chunks(std::size_t n) noexcept;
+
+/// Run fn(i) for every i in [0, tasks) on the process-wide kernel pool
+/// (gemm_kernel_threads() threads in all, shared by every caller in the
+/// process) and return when all have finished. The calling thread claims
+/// tasks alongside the pool workers, so it never waits on a task no thread
+/// has started: progress holds even when other callers saturate the pool.
+/// With one task, one kernel thread, or when called from inside a task,
+/// every task runs inline on the caller in index order and an exception
+/// propagates at once; otherwise the first exception thrown by fn is
+/// rethrown once every task has finished.
+void kernel_parallel_for(std::size_t tasks,
+                         const std::function<void(std::size_t)>& fn);
 
 /// im2col for a single image: input (C,H,W) -> columns matrix of shape
 /// (C*kh*kw) × (oh*ow), with given stride and symmetric zero padding.

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <future>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "core/training.h"
@@ -23,6 +24,7 @@
 #include "runtime/executor.h"
 #include "runtime/serving.h"
 #include "runtime/system.h"
+#include "tensor/gemm.h"
 
 namespace murmur {
 namespace {
@@ -194,6 +196,125 @@ TEST(BatchedExecutor, DecomposesUnderFaultInjectorAndStaysIdentical) {
   ASSERT_EQ(batched.reports.size(), images.size());
   for (std::size_t i = 0; i < images.size(); ++i)
     EXPECT_GT(batched.reports[i].logits.size(), 0u);
+}
+
+TEST(BatchedExecutor, EmptyBatchReturnsEmptyReport) {
+  supernet::Supernet net(tiny_net_opts());
+  auto network = netsim::make_device_swarm();
+  DistributedExecutor exec(net, network);
+  const auto out =
+      exec.run_batch({}, SubnetConfig::min_config(),
+                     partition::PlacementPlan::all_local(), {});
+  EXPECT_TRUE(out.reports.empty());
+  EXPECT_FALSE(out.batched);
+}
+
+TEST(BatchedExecutor, MismatchedSimStartsThrowInvalidArgument) {
+  supernet::Supernet net(tiny_net_opts());
+  auto network = netsim::make_device_swarm();
+  DistributedExecutor exec(net, network);
+  SubnetConfig c = SubnetConfig::min_config();
+  c.resolution = 160;
+  Rng rng(14);
+  const std::vector<Tensor> images(
+      2, Tensor::randn({1, 3, 160, 160}, rng, 0.0f, 0.5f));
+  const auto plan = partition::PlacementPlan::all_local();
+  EXPECT_THROW(exec.run_batch(images, c, plan, {0.0}), std::invalid_argument);
+  EXPECT_THROW(exec.run_batch(images, c, plan, {0.0, 0.0, 0.0}),
+               std::invalid_argument);
+  EXPECT_THROW(exec.run_batch({}, c, plan, {0.0}), std::invalid_argument);
+}
+
+TEST(BatchedExecutor, MemberSplitBitwiseAcrossThreadCounts) {
+  // run_batch splits every unit forward (stem, each tile, head) into
+  // min(n, kernel threads) contiguous member chunks. One thread is the
+  // unsplit fused pass; 3 and 4 threads cut batches of 2, 3, 5 and 8 into
+  // uneven chunks. Whatever the cut, each member's logits must be bitwise
+  // its serial run(), and the wire must not see the split.
+  struct Case {
+    const char* name;
+    SubnetConfig config;
+    partition::PlacementPlan plan;
+  };
+  std::vector<Case> cases;
+  {
+    SubnetConfig c = SubnetConfig::min_config();
+    c.resolution = 160;
+    for (auto& b : c.blocks) b.quant = QuantBits::k32;
+    cases.push_back({"all-local", c, partition::PlacementPlan::all_local()});
+  }
+  {
+    // steady-like: stem and head local, every block on device 1, a few
+    // 1x2 grids, only block 0 int8.
+    SubnetConfig c = SubnetConfig::min_config();
+    c.resolution = 160;
+    for (std::size_t b = 0; b < c.blocks.size(); ++b) {
+      c.blocks[b].quant = b == 0 ? QuantBits::k8 : QuantBits::k32;
+      if (b % 4 == 1) c.blocks[b].grid = PartitionGrid{1, 2};
+    }
+    partition::PlacementPlan p = partition::PlacementPlan::all_local();
+    for (auto& row : p.device) row = {1, 1};
+    cases.push_back({"steady-like", c, p});
+  }
+  {
+    SubnetConfig c = SubnetConfig::min_config();
+    c.resolution = 192;
+    for (auto& b : c.blocks) {
+      b.quant = QuantBits::k8;
+      b.grid = PartitionGrid{2, 2};
+    }
+    partition::PlacementPlan p = partition::PlacementPlan::all_local();
+    for (auto& row : p.device) row = {1, 2, 3, 4};
+    p.head_device = 1;
+    cases.push_back({"2x2-spread", c, p});
+  }
+
+  struct RestoreThreads {
+    ~RestoreThreads() { gemm_override_threads(0); }
+  } restore;
+  supernet::Supernet net(tiny_net_opts());
+  auto network = netsim::make_device_swarm();
+  DistributedExecutor exec(net, network);
+  constexpr int kMaxMembers = 8;
+  for (const auto& tc : cases) {
+    SCOPED_TRACE(tc.name);
+    Rng rng(21);
+    std::vector<Tensor> images;
+    std::vector<Tensor> serial;
+    for (int i = 0; i < kMaxMembers; ++i) {
+      images.push_back(Tensor::randn(
+          {1, 3, tc.config.resolution, tc.config.resolution}, rng, 0.0f,
+          0.5f));
+      serial.push_back(exec.run(images.back(), tc.config, tc.plan).logits);
+    }
+    // wire[n] = (messages, payload bytes) of the first thread count run.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> wire(kMaxMembers + 1);
+    for (int threads : {1, 3, 4}) {
+      gemm_override_threads(threads);
+      for (int n : {2, 3, 5, 8}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "threads=" << threads << " n=" << n);
+        const std::vector<Tensor> batch(images.begin(), images.begin() + n);
+        const auto out = exec.run_batch(
+            batch, tc.config, tc.plan,
+            std::vector<double>(static_cast<std::size_t>(n), 0.0));
+        ASSERT_TRUE(out.batched);
+        ASSERT_EQ(out.reports.size(), static_cast<std::size_t>(n));
+        for (int i = 0; i < n; ++i)
+          expect_bitwise_equal(serial[static_cast<std::size_t>(i)],
+                               out.reports[static_cast<std::size_t>(i)].logits,
+                               "member");
+        const auto& ts = out.reports.front().transport;
+        auto& w = wire[static_cast<std::size_t>(n)];
+        if (threads == 1) {
+          w = {ts.messages, ts.payload_bytes};
+        } else {
+          EXPECT_EQ(ts.messages, w.first);
+          EXPECT_EQ(ts.payload_bytes, w.second);
+        }
+      }
+    }
+  }
 }
 
 // -------------------------------------------------------- system level ----

@@ -14,7 +14,6 @@
 #include "common/linreg.h"
 #include "common/rng.h"
 #include "common/serialize.h"
-#include "common/sim_clock.h"
 #include "common/stats.h"
 #include "common/table.h"
 #include "common/thread_pool.h"
@@ -447,19 +446,6 @@ TEST(ThreadPool, PendingAndActiveObservable) {
   first.get();
   second.get();
   EXPECT_EQ(pool.pending(), 0u);
-}
-
-// ----------------------------------------------------------- sim clock ----
-
-TEST(SimClock, MonotoneAdvance) {
-  SimClock clock;
-  clock.advance_to(10.0);
-  clock.advance_to(5.0);  // no-op backwards
-  EXPECT_DOUBLE_EQ(clock.now_ms(), 10.0);
-  clock.advance_by(Duration::from_ms(2.5));
-  EXPECT_DOUBLE_EQ(clock.now_ms(), 12.5);
-  clock.reset();
-  EXPECT_DOUBLE_EQ(clock.now_ms(), 0.0);
 }
 
 }  // namespace

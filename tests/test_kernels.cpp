@@ -3,13 +3,17 @@
 // grouped conv, quantize) is checked against its naive `_ref`
 // counterpart across awkward shapes — odd H/W, pad > 0, stride 2,
 // groups > 1, elastic kernel crops, and sizes straddling the parallel
-// threshold. Also covers Workspace reuse (zero steady-state heap
+// threshold. Also covers the kernel pool's task primitive (nesting,
+// chunk counts, exceptions), Workspace reuse (zero steady-state heap
 // allocation) and the cropped-weight cache.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -82,6 +86,92 @@ TEST(Gemm, MatchesReferenceAcrossParallelThreshold) {
   check_gemm(64, 128, 512, rng);
   check_gemm(97, 130, 509, rng);  // parallel + ragged band/tile remainders
   gemm_override_threads(0);
+}
+
+// ---------------------------------------------------------------------------
+// Kernel pool
+// ---------------------------------------------------------------------------
+
+/// Restores the default kernel thread count when a test leaves scope, even
+/// through a failed assertion.
+struct ThreadOverride {
+  explicit ThreadOverride(int n) { gemm_override_threads(n); }
+  ~ThreadOverride() { gemm_override_threads(0); }
+  void set(int n) { gemm_override_threads(n); }
+};
+
+TEST(KernelPool, NestedGemmRunsInlineAndMatchesSingleThreadBitwise) {
+  // gemm's row-band dispatch reached from inside a kernel_parallel_for task
+  // must run inline: queueing the bands behind the tasks that occupy the
+  // pool would leave a worker blocked on work no thread can pick up.
+  // Row bands never change a product's per-element accumulation order, so
+  // every path must agree bitwise with the single-thread product.
+  Rng rng(53);
+  const int m = 96, k = 256, n = 256;
+  ASSERT_GE(2ull * m * k * n, gemm_parallel_flops());
+  const auto a = random_vec(static_cast<std::size_t>(m) * k, rng);
+  const auto b = random_vec(static_cast<std::size_t>(k) * n, rng);
+  const std::size_t bytes = static_cast<std::size_t>(m) * n * sizeof(float);
+
+  ThreadOverride threads(1);
+  std::vector<float> want(static_cast<std::size_t>(m) * n, 0.0f);
+  gemm(m, k, n, a.data(), b.data(), want.data());
+
+  threads.set(4);
+  std::vector<float> top(want.size(), 0.0f);
+  gemm(m, k, n, a.data(), b.data(), top.data());  // banded across the pool
+  EXPECT_EQ(std::memcmp(top.data(), want.data(), bytes), 0);
+
+  constexpr std::size_t kTasks = 6;  // more tasks than threads
+  std::vector<std::vector<float>> got(kTasks,
+                                      std::vector<float>(want.size(), 0.0f));
+  std::vector<std::size_t> inner_chunks(kTasks, 0);
+  kernel_parallel_for(kTasks, [&](std::size_t t) {
+    inner_chunks[t] = kernel_chunks(8);
+    gemm(m, k, n, a.data(), b.data(), got[t].data());
+  });
+  for (std::size_t t = 0; t < kTasks; ++t) {
+    SCOPED_TRACE(::testing::Message() << "task " << t);
+    EXPECT_EQ(inner_chunks[t], 1u);
+    EXPECT_EQ(std::memcmp(got[t].data(), want.data(), bytes), 0);
+  }
+}
+
+TEST(KernelPool, ChunkCountsAndSingleThreadDegradesToPlainCall) {
+  ThreadOverride threads(4);
+  EXPECT_EQ(kernel_chunks(0), 0u);
+  EXPECT_EQ(kernel_chunks(1), 1u);
+  EXPECT_EQ(kernel_chunks(3), 3u);  // n < threads: one item per chunk
+  EXPECT_EQ(kernel_chunks(4), 4u);
+  EXPECT_EQ(kernel_chunks(9), 4u);
+
+  std::vector<std::atomic<int>> hits(9);
+  kernel_parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
+  for (std::size_t i = 0; i < hits.size(); ++i)
+    EXPECT_EQ(hits[i].load(), 1) << "task " << i;
+
+  // One configured thread: a plain in-order loop on the calling thread.
+  threads.set(1);
+  EXPECT_EQ(kernel_chunks(9), 1u);
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  kernel_parallel_for(5, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(KernelPool, RethrowsAfterEveryTaskFinishes) {
+  ThreadOverride threads(4);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(kernel_parallel_for(8,
+                                   [&](std::size_t i) {
+                                     if (i == 2) throw std::runtime_error("x");
+                                     ++finished;
+                                   }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), 7);
 }
 
 TEST(Gemv, MatchesGemmReference) {

@@ -27,8 +27,10 @@ fi
          --benchmark_min_time=0.5 > "$OUT.raw"
 
 # Context recorded alongside the numbers: the kernel thread setting the
-# run actually used and the real core count. google-benchmark's num_cpus
-# reports the cgroup-visible count, which lies inside containers.
+# run actually used, the real core count, and which int8 depthwise path the
+# build compiled (the binary reports it in its own JSON context).
+# google-benchmark's num_cpus reports the cgroup-visible count, which lies
+# inside containers.
 MURMUR_BENCH_THREADS="${MURMUR_KERNEL_THREADS:-unset}" \
 MURMUR_BENCH_CORES="$(nproc)" \
 python3 - "$OUT.raw" "$OUT" <<'PY'
@@ -79,6 +81,9 @@ json.dump(
             "num_cpus": int(os.environ.get("MURMUR_BENCH_CORES", "0") or 0),
             "mhz_per_cpu": raw.get("context", {}).get("mhz_per_cpu", 0),
             "kernel_threads": os.environ.get("MURMUR_BENCH_THREADS", "unset"),
+            "int8_depthwise_vectorized":
+                raw.get("context", {}).get("int8_depthwise_vectorized")
+                == "true",
         },
         "baseline": baseline,
         "current": current,
