@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -19,35 +20,35 @@ using supernet::SubnetConfig;
 
 namespace {
 
+/// The overlap of two extents; h or w is non-positive when they are disjoint.
+TileExtent intersect(const TileExtent& a, const TileExtent& b) {
+  const int h0 = std::max(a.h0, b.h0), w0 = std::max(a.w0, b.w0);
+  return {h0, w0, std::min(a.h0 + a.h, b.h0 + b.h) - h0,
+          std::min(a.w0 + a.w, b.w0 + b.w) - w0};
+}
+
 /// Paste the intersection of `src` (at extent se) into `dst` (at extent de).
 /// Rows of the overlap are contiguous in both tensors, so each copies with
 /// one memcpy instead of per-element at() walks.
 void paste_overlap(const Tensor& src, const TileExtent& se, Tensor& dst,
                    const TileExtent& de) {
-  const int h0 = std::max(se.h0, de.h0), h1 = std::min(se.h0 + se.h, de.h0 + de.h);
-  const int w0 = std::max(se.w0, de.w0), w1 = std::min(se.w0 + se.w, de.w0 + de.w);
-  const int wlen = w1 - w0;
-  if (wlen <= 0 || h1 <= h0) return;
+  const TileExtent o = intersect(se, de);
+  if (o.h <= 0 || o.w <= 0) return;  // disjoint
   const std::size_t sw = static_cast<std::size_t>(src.dim(3));
   const std::size_t dw = static_cast<std::size_t>(dst.dim(3));
   const std::size_t splane = static_cast<std::size_t>(src.dim(2)) * sw;
   const std::size_t dplane = static_cast<std::size_t>(dst.dim(2)) * dw;
   const int nc = dst.dim(0) * dst.dim(1);
-  const float* sp = src.raw() +
-                    static_cast<std::size_t>(h0 - se.h0) * sw + (w0 - se.w0);
+  const float* sp =
+      src.raw() + static_cast<std::size_t>(o.h0 - se.h0) * sw + (o.w0 - se.w0);
   float* dp = dst.raw() +
-              static_cast<std::size_t>(h0 - de.h0) * dw + (w0 - de.w0);
+              static_cast<std::size_t>(o.h0 - de.h0) * dw + (o.w0 - de.w0);
   for (int p = 0; p < nc; ++p, sp += splane, dp += dplane) {
     const float* s = sp;
     float* d = dp;
-    for (int h = h0; h < h1; ++h, s += sw, d += dw)
-      std::memcpy(d, s, static_cast<std::size_t>(wlen) * sizeof(float));
+    for (int h = 0; h < o.h; ++h, s += sw, d += dw)
+      std::memcpy(d, s, static_cast<std::size_t>(o.w) * sizeof(float));
   }
-}
-
-bool overlaps(const TileExtent& a, const TileExtent& b) {
-  return std::max(a.h0, b.h0) < std::min(a.h0 + a.h, b.h0 + b.h) &&
-         std::max(a.w0, b.w0) < std::min(a.w0 + a.w, b.w0 + b.w);
 }
 
 std::uint64_t make_tag(int block, int tile, int piece) {
@@ -108,6 +109,12 @@ Tensor forward_members(const Tensor& x, Forward&& forward) {
   return concat_members(outs);
 }
 
+double ms_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
 }  // namespace
 
 DistributedExecutor::DistributedExecutor(supernet::Supernet& supernet,
@@ -125,49 +132,142 @@ void DistributedExecutor::set_failover(const FailoverOptions& failover) {
 
 ExecutionReport DistributedExecutor::run(
     const Tensor& image, const SubnetConfig& config,
-    const partition::PlacementPlan& plan_in, double sim_start_ms) {
+    const partition::PlacementPlan& plan, double sim_start_ms) {
+  return std::move(run_batch({image}, config, plan, {sim_start_ms}).reports[0]);
+}
+
+BatchExecutionReport DistributedExecutor::run_batch(
+    const std::vector<Tensor>& images, const SubnetConfig& config,
+    const partition::PlacementPlan& plan, const std::vector<double>& sim_start_ms) {
+  if (sim_start_ms.size() != images.size())
+    throw std::invalid_argument(
+        "run_batch: sim_start_ms has " + std::to_string(sim_start_ms.size()) +
+        " entries for " + std::to_string(images.size()) + " images");
+  for (const auto& img : images)
+    if (img.rank() != 4 || img.dim(0) != 1 ||
+        img.dim(2) != config.resolution || img.dim(3) != config.resolution ||
+        img.shape() != images.front().shape())
+      throw std::invalid_argument(
+          "run_batch: every image must be one 1 x C x R x R member with R = "
+          "config.resolution (" + std::to_string(config.resolution) +
+          ") and the first image's shape");
+  BatchExecutionReport out;
+  if (images.empty()) return out;
+  const auto t_start = std::chrono::steady_clock::now();
+
+  if (failover_.injector != nullptr) {
+    // Failover is a per-request protocol (per-request sim anchor, per-device
+    // blame), so under fault injection each member walks on its own.
+    out.reports.reserve(images.size());
+    for (std::size_t i = 0; i < images.size(); ++i)
+      out.reports.push_back(
+          std::move(walk(images[i], config, plan, sim_start_ms[i])[0]));
+  } else {
+    const Tensor fused = images.size() > 1 ? concat_members(images) : Tensor();
+    out.reports = walk(images.size() > 1 ? fused : images.front(), config,
+                       plan, sim_start_ms.front());
+    out.batched = true;
+  }
+  out.wall_ms = ms_since(t_start);
+  return out;
+}
+
+std::vector<ExecutionReport> DistributedExecutor::walk(
+    const Tensor& members, const SubnetConfig& config,
+    partition::PlacementPlan plan, double sim_start_ms) {
   MURMUR_SPAN("exec.run", "exec", obs::maybe_histogram("stage.exec_run_ms"));
   const auto t_start = std::chrono::steady_clock::now();
   transport_.reset_stats();
   supernet_.activate(config);
-
-  ExecutionReport report;
-  partition::PlacementPlan plan = plan_in;  // failover may rewrite entries
-
-  // Failover state. `sim_now` tracks the request's position on the
-  // simulated clock (first-order: per-block compute advances it) so
-  // scheduled faults hit the blocks executing inside their window.
-  netsim::FaultInjector* const inj = failover_.injector;
-  double sim_now = sim_start_ms;
-  std::mutex fo_mutex;  // guards the counters below from pool threads
-  double fo_penalty_ms = 0.0;
-  int fo_fallbacks = 0;
-  if (inj) report.device_failures.assign(network_.num_devices(), 0);
-  // Attribute a lost in-flight message to the remote endpoint of its path
-  // (device 0, the request origin, is never blamed: its link is loopback).
-  const auto blame = [&](int src, int dst) {
-    const int culprit = src != 0 ? src : dst;
-    if (culprit != 0) ++report.device_failures[static_cast<std::size_t>(culprit)];
+  const int n = members.dim(0);
+  // Disjoint tag namespace per walk: the per-destination mailboxes act as
+  // double-buffered queues — a new walk's scatter can stage while the
+  // previous walk's receives drain, with no tag aliasing between them.
+  const std::uint64_t epoch =
+      (batch_epoch_.fetch_add(1, std::memory_order_relaxed) & 0x7fffull) << 48;
+  const auto btag = [epoch](int block, int tile, int piece) {
+    return epoch | make_tag(block, tile, piece);
   };
+
+  // Failover state (an injector implies a one-member walk). `sim_now`
+  // tracks the request's position on the simulated clock (first-order:
+  // per-block compute advances it) so scheduled faults hit the blocks
+  // executing inside their window. `common` collects the report fields
+  // every member shares, failover accounting included.
+  netsim::FaultInjector* const inj = failover_.injector;
+  const double slack_ms = failover_.recv_slack_ms;
+  double sim_now = sim_start_ms;
+  std::mutex fo_mutex;  // guards the failover counters from pool threads
+  double fo_penalty_ms = 0.0;
+  ExecutionReport common;
+  if (inj) common.device_failures.assign(network_.num_devices(), 0);
 
   // Move a stem/head/tile assignment off a dead device: deal across the
   // currently-healthy set (device 0 — the request origin — as a last
   // resort, collapsing to local-only execution).
-  const auto pick_survivor = [&](int salt) -> int {
-    std::vector<int> up;
-    for (std::size_t d = 0; d < network_.num_devices(); ++d)
-      if (inj->device_up(d, sim_now)) up.push_back(static_cast<int>(d));
-    if (up.empty()) return 0;
-    return up[static_cast<std::size_t>(salt) % up.size()];
-  };
   const auto redispatch = [&](std::uint8_t& dev, int salt) {
     if (inj->device_up(dev, sim_now)) return;
-    if (dev != 0) ++report.device_failures[dev];  // observed dead
-    dev = static_cast<std::uint8_t>(pick_survivor(salt));
-    ++report.redispatched_tiles;
+    if (dev != 0) ++common.device_failures[dev];  // observed dead
+    std::vector<std::uint8_t> up;
+    for (std::size_t d = 0; d < network_.num_devices(); ++d)
+      if (inj->device_up(d, sim_now))
+        up.push_back(static_cast<std::uint8_t>(d));
+    dev = up.empty() ? 0 : up[static_cast<std::size_t>(salt) % up.size()];
+    ++common.redispatched_tiles;
     fo_penalty_ms += failover_.redispatch_penalty_ms;
     obs::add("runtime.failover.redispatch");
   };
+  // A receive that timed out: charge `penalty_ms` and attribute the lost
+  // message to the remote endpoint of its path (device 0, the request
+  // origin, is never blamed: its link is loopback).
+  const auto fall_back = [&](double penalty_ms, int src, int dst) {
+    {
+      std::lock_guard lock(fo_mutex);
+      ++common.local_fallbacks;
+      fo_penalty_ms += penalty_ms;
+      const int culprit = src != 0 ? src : dst;
+      if (culprit != 0)
+        ++common.device_failures[static_cast<std::size_t>(culprit)];
+    }
+    obs::add("runtime.failover.local_fallback");
+  };
+
+  // Per-sample quantize + one ACTB envelope: each member's wire content is
+  // what it would ship on its own (per-tensor scales are computed per
+  // sample, never across the batch). Returns the simulated arrival.
+  const auto send_batch = [&](const Tensor& region, QuantBits bits, int src,
+                              int dst, std::uint64_t tag) {
+    std::vector<QuantizedTensor> qts;
+    qts.reserve(static_cast<std::size_t>(n));
+    std::size_t wire = 0;
+    for (int i = 0; i < n; ++i) {
+      qts.push_back(n == 1 ? quantize(region, bits)
+                           : quantize(slice_members(region, i, i + 1), bits));
+      wire += qts.back().wire_bytes();
+    }
+    return transport_.send(src, dst, tag, encode_activation_batch(qts), wire,
+                           sim_now);
+  };
+  // Blocking receive without an injector; with one, a receive against the
+  // sim deadline that yields nullopt for a lost, late or corrupt message.
+  const auto recv_batch = [&](int dst, std::uint64_t tag,
+                              double deadline_ms) -> std::optional<Tensor> {
+    std::optional<std::vector<QuantizedTensor>> qts;
+    if (inj) {
+      const auto msg = transport_.recv_for(dst, tag, deadline_ms);
+      if (msg) qts = decode_activation_batch(msg->payload);
+      if (!qts) return std::nullopt;
+    } else {
+      qts = decode_activation_batch(transport_.recv(dst, tag).payload);
+      assert(qts.has_value());
+    }
+    std::vector<Tensor> deq;
+    deq.reserve(qts->size());
+    for (const auto& qt : *qts) deq.push_back(dequantize(qt));
+    if (deq.size() == 1) return std::move(deq.front());
+    return concat_members(deq);
+  };
+  const auto stem = [&](const Tensor& x) { return supernet_.forward_stem(x); };
 
   // Current full map plus ownership metadata per piece.
   struct Piece {
@@ -175,43 +275,25 @@ ExecutionReport DistributedExecutor::run(
     int device = 0;
   };
 
-  // --- Stem (device 0 holds the image) --------------------------------
+  // --- Stem (device 0 holds the images) --------------------------------
   Tensor current;
   {
     if (inj) redispatch(plan.stem_device, 0);
     const int stem_dev = plan.stem_device;
+    std::optional<Tensor> shipped;
     if (stem_dev != 0) {
-      // Ship the raw image (fp32) to the stem device.
-      auto payload = encode_activation(quantize(image, QuantBits::k32));
-      const double arrival =
-          transport_.send(0, stem_dev, make_tag(-1, 0, 0), std::move(payload),
-                          image.bytes(), inj ? sim_now : 0.0);
-      if (inj) {
-        const auto msg = transport_.recv_for(
-            stem_dev, make_tag(-1, 0, 0), arrival + failover_.recv_slack_ms);
-        std::optional<QuantizedTensor> qt;
-        if (msg) qt = decode_activation(msg->payload);
-        if (qt) {
-          current = supernet_.forward_stem(dequantize(*qt));
-        } else {
-          // Image lost in flight: collapse the stem back to device 0,
-          // charging the wait the receiver burned before giving up.
-          ++report.local_fallbacks;
-          fo_penalty_ms += arrival - sim_now + failover_.recv_slack_ms;
-          blame(0, stem_dev);
-          obs::add("runtime.failover.local_fallback");
-          plan.stem_device = 0;
-          current = supernet_.forward_stem(image);
-        }
-      } else {
-        const auto msg = transport_.recv(stem_dev, make_tag(-1, 0, 0));
-        const auto qt = decode_activation(msg.payload);
-        assert(qt.has_value());
-        current = supernet_.forward_stem(dequantize(*qt));
+      // Ship the raw images (fp32) to the stem device.
+      const double arrival = send_batch(members, QuantBits::k32, 0, stem_dev,
+                                        btag(-1, 0, 0));
+      shipped = recv_batch(stem_dev, btag(-1, 0, 0), arrival + slack_ms);
+      if (!shipped) {
+        // Image lost in flight: collapse the stem back to device 0,
+        // charging the wait the receiver burned before giving up.
+        fall_back(arrival - sim_now + slack_ms, 0, stem_dev);
+        plan.stem_device = 0;
       }
-    } else {
-      current = supernet_.forward_stem(image);
     }
+    current = forward_members(shipped ? *shipped : members, stem);
     if (inj)
       sim_now += network_.device(static_cast<std::size_t>(plan.stem_device))
                      .throughput.compute_ms(
@@ -235,103 +317,89 @@ ExecutionReport DistributedExecutor::run(
         tiled ? tile_extents(current.dim(2), current.dim(3), bc.grid)
               : std::vector<TileExtent>{
                     TileExtent{0, 0, current.dim(2), current.dim(3)}};
-    if (tiled) ++report.partitioned_blocks;
+    if (tiled) ++common.partitioned_blocks;
+    auto& row = plan.device[static_cast<std::size_t>(b)];
+    const auto tile_dev = [&](std::size_t t) -> int {
+      return row[tiled ? t : 0];
+    };
 
     // Failover: move tiles assigned to dead devices onto survivors BEFORE
-    // any data ships, so phase 1 routes to the effective placement.
+    // any data ships, so the scatter routes to the effective placement.
     if (inj)
       for (std::size_t t = 0; t < extents.size(); ++t)
-        redispatch(plan.device[static_cast<std::size_t>(b)][tiled ? t : 0],
-                   b + static_cast<int>(t));
+        redispatch(row[tiled ? t : 0], b + static_cast<int>(t));
 
-    // Phase 1 (main thread): ship every cross-device overlap.
-    double block_arrival_ms = sim_now;
-    for (std::size_t t = 0; t < extents.size(); ++t) {
-      const int dev =
-          plan.device[static_cast<std::size_t>(b)][tiled ? t : 0];
-      for (std::size_t p = 0; p < pieces.size(); ++p) {
-        if (pieces[p].device == dev || !overlaps(extents[t], pieces[p].extent))
-          continue;
-        // Crop the needed region, quantize at the *previous* block's wire
-        // precision, serialize, send.
-        const auto& se = pieces[p].extent;
-        const auto& de = extents[t];
-        const int h0 = std::max(se.h0, de.h0), h1 = std::min(se.h0 + se.h, de.h0 + de.h);
-        const int w0 = std::max(se.w0, de.w0), w1 = std::min(se.w0 + se.w, de.w0 + de.w);
-        Tensor crop = current.crop(h0, w0, h1 - h0, w1 - w0);
-        const QuantizedTensor qt = quantize(crop, prev_quant);
-        const std::size_t wire = qt.wire_bytes();
-        const double arrival = transport_.send(
-            pieces[p].device, dev,
-            make_tag(b, static_cast<int>(t), static_cast<int>(p)),
-            encode_activation(qt), wire, inj ? sim_now : 0.0);
-        block_arrival_ms = std::max(block_arrival_ms, arrival);
-      }
-    }
-    // Receivers wait until the last expected arrival plus slack before
-    // declaring a message lost.
-    const double recv_deadline_ms = block_arrival_ms + failover_.recv_slack_ms;
-
-    // Phase 2 (pooled): each tile assembles its input and runs.
+    // Tile assembly/compute is dispatched FIRST so the scatter below
+    // overlaps it: workers assemble local pieces and block in recv for
+    // remote ones while this thread is still quantizing and sending. Under
+    // an injector the receivers wait until the last expected arrival plus
+    // slack before declaring a message lost; the scatter publishes that
+    // deadline once its last send is out.
+    std::promise<double> deadline;
+    const std::shared_future<double> recv_deadline =
+        deadline.get_future().share();
     std::vector<Tensor> outputs(extents.size());
-    pool_.parallel_for(extents.size(), [&](std::size_t t) {
-      MURMUR_SPAN("exec.tile", "exec",
-                  obs::maybe_histogram("stage.tile_ms"));
-      const int dev =
-          plan.device[static_cast<std::size_t>(b)][tiled ? t : 0];
-      const auto& de = extents[t];
-      Tensor input({current.dim(0), current.dim(1), de.h, de.w});
-      for (std::size_t p = 0; p < pieces.size(); ++p) {
-        if (!overlaps(de, pieces[p].extent)) continue;
-        if (pieces[p].device == dev) {
-          paste_overlap(current, pieces[p].extent, input, de);
-          continue;
-        }
-        const auto tag =
-            make_tag(b, static_cast<int>(t), static_cast<int>(p));
-        std::optional<QuantizedTensor> qt;
-        if (inj) {
-          const auto msg = transport_.recv_for(dev, tag, recv_deadline_ms);
-          if (msg) qt = decode_activation(msg->payload);
-          if (!qt) {
+    std::vector<std::future<void>> tile_futs;
+    tile_futs.reserve(extents.size());
+    for (std::size_t t = 0; t < extents.size(); ++t) {
+      tile_futs.push_back(pool_.submit([&, t] {
+        MURMUR_SPAN("exec.tile", "exec", obs::maybe_histogram("stage.tile_ms"));
+        const int dev = tile_dev(t);
+        const auto& de = extents[t];
+        Tensor input({current.dim(0), current.dim(1), de.h, de.w});
+        for (std::size_t p = 0; p < pieces.size(); ++p) {
+          const auto& se = pieces[p].extent;
+          const TileExtent o = intersect(se, de);
+          if (o.h <= 0 || o.w <= 0) continue;
+          if (pieces[p].device == dev) {
+            paste_overlap(current, se, input, de);
+            continue;
+          }
+          const double deadline_ms = inj ? recv_deadline.get() : 0.0;
+          const auto got = recv_batch(
+              dev, btag(b, static_cast<int>(t), static_cast<int>(p)),
+              deadline_ms);
+          if (!got) {
             // The region never arrived (or arrived corrupt/late): fall
             // back to the previous map, charging the burned wait plus one
             // re-fetch of the region at current conditions.
-            const auto& se = pieces[p].extent;
-            const int h = std::min(se.h0 + se.h, de.h0 + de.h) -
-                          std::max(se.h0, de.h0);
-            const int w = std::min(se.w0 + se.w, de.w0 + de.w) -
-                          std::max(se.w0, de.w0);
-            const double bytes = static_cast<double>(std::max(0, h)) *
-                                 std::max(0, w) * current.dim(1) *
-                                 sizeof(float);
-            {
-              std::lock_guard lock(fo_mutex);
-              ++fo_fallbacks;
-              fo_penalty_ms +=
-                  recv_deadline_ms - sim_now +
-                  network_.transfer_ms(
-                      static_cast<std::size_t>(pieces[p].device),
-                      static_cast<std::size_t>(dev), bytes);
-              blame(pieces[p].device, dev);
-            }
-            obs::add("runtime.failover.local_fallback");
-            paste_overlap(current, pieces[p].extent, input, de);
+            const double bytes = static_cast<double>(o.h) * o.w *
+                                 current.dim(1) * sizeof(float);
+            fall_back(deadline_ms - sim_now +
+                          network_.transfer_ms(
+                              static_cast<std::size_t>(pieces[p].device),
+                              static_cast<std::size_t>(dev), bytes),
+                      pieces[p].device, dev);
+            paste_overlap(current, se, input, de);
             continue;
           }
-        } else {
-          const auto msg = transport_.recv(dev, tag);
-          qt = decode_activation(msg.payload);
-          assert(qt.has_value());
+          paste_overlap(*got, o, input, de);
         }
-        const Tensor got = dequantize(*qt);
-        const auto& se = pieces[p].extent;
-        const TileExtent ge{std::max(se.h0, de.h0), std::max(se.w0, de.w0),
-                            got.dim(2), got.dim(3)};
-        paste_overlap(got, ge, input, de);
+        outputs[t] = forward_members(input, [&](const Tensor& x) {
+          return supernet_.forward_block_tile(b, x);
+        });
+      }));
+    }
+
+    // Scatter (this thread): ship every cross-device overlap, cropped and
+    // quantized at the *previous* block's wire precision.
+    double block_arrival_ms = sim_now;
+    for (std::size_t t = 0; t < extents.size(); ++t) {
+      const int dev = tile_dev(t);
+      for (std::size_t p = 0; p < pieces.size(); ++p) {
+        const TileExtent o = intersect(pieces[p].extent, extents[t]);
+        if (pieces[p].device == dev || o.h <= 0 || o.w <= 0) continue;
+        block_arrival_ms = std::max(
+            block_arrival_ms,
+            send_batch(current.crop(o.h0, o.w0, o.h, o.w), prev_quant,
+                       pieces[p].device, dev,
+                       btag(b, static_cast<int>(t), static_cast<int>(p))));
       }
-      outputs[t] = supernet_.forward_block_tile(static_cast<int>(b), input);
-    });
+    }
+    deadline.set_value(block_arrival_ms + slack_ms);
+    // Every task references this frame: let all finish before any rethrows.
+    for (auto& f : tile_futs) f.wait();
+    for (auto& f : tile_futs) f.get();
 
     // Merge outputs into the next full map and update ownership.
     const auto geo = supernet::CostModel::block_geometry(config, b);
@@ -343,8 +411,7 @@ ExecutionReport DistributedExecutor::run(
       const TileExtent oe{extents[t].h0 / geo.stride, extents[t].w0 / geo.stride,
                           extents[t].h / geo.stride, extents[t].w / geo.stride};
       out_extents.push_back(oe);
-      next_pieces.push_back(
-          Piece{oe, plan.device[static_cast<std::size_t>(b)][tiled ? t : 0]});
+      next_pieces.push_back(Piece{oe, tile_dev(t)});
     }
     current = merge_tiles(outputs, out_extents, outputs.front().dim(1),
                           current.dim(2) / geo.stride,
@@ -358,8 +425,7 @@ ExecutionReport DistributedExecutor::run(
     if (inj) {
       double block_ms = 0.0;
       for (std::size_t t = 0; t < extents.size(); ++t) {
-        const auto dev = static_cast<std::size_t>(
-            plan.device[static_cast<std::size_t>(b)][tiled ? t : 0]);
+        const auto dev = static_cast<std::size_t>(tile_dev(t));
         block_ms = std::max(
             block_ms,
             network_.device(dev).throughput.compute_ms(
@@ -371,328 +437,77 @@ ExecutionReport DistributedExecutor::run(
   }
 
   // --- Head: gather to the head device, classify, return logits. -------
+  Tensor logits;
   {
     if (inj) redispatch(plan.head_device, 0);
     const int head_dev = plan.head_device;
     for (std::size_t p = 0; p < pieces.size(); ++p) {
       if (pieces[p].device == head_dev) continue;
       const auto& se = pieces[p].extent;
-      Tensor crop = current.crop(se.h0, se.w0, se.h, se.w);
-      const QuantizedTensor qt = quantize(crop, prev_quant);
-      const double arrival = transport_.send(
-          pieces[p].device, head_dev, make_tag(1000, 0, static_cast<int>(p)),
-          encode_activation(qt), qt.wire_bytes(), inj ? sim_now : 0.0);
-      std::optional<QuantizedTensor> back;
-      if (inj) {
-        const auto msg =
-            transport_.recv_for(head_dev, make_tag(1000, 0, static_cast<int>(p)),
-                                arrival + failover_.recv_slack_ms);
-        if (msg) back = decode_activation(msg->payload);
-        if (!back) {
-          // Piece lost on the way to the head: the fp32 region already in
-          // `current` serves (skipping the wire's quantization error);
-          // charge the wait plus a re-fetch.
-          ++report.local_fallbacks;
-          fo_penalty_ms += arrival - sim_now + failover_.recv_slack_ms;
-          blame(pieces[p].device, head_dev);
-          obs::add("runtime.failover.local_fallback");
-          continue;
-        }
-      } else {
-        const auto msg =
-            transport_.recv(head_dev, make_tag(1000, 0, static_cast<int>(p)));
-        back = decode_activation(msg.payload);
-        assert(back.has_value());
+      const auto tag = btag(1000, 0, static_cast<int>(p));
+      const double arrival =
+          send_batch(current.crop(se.h0, se.w0, se.h, se.w), prev_quant,
+                     pieces[p].device, head_dev, tag);
+      const auto back = recv_batch(head_dev, tag, arrival + slack_ms);
+      if (!back) {
+        // Piece lost on the way to the head: the fp32 region already in
+        // `current` serves (skipping the wire's quantization error);
+        // charge the wait.
+        fall_back(arrival - sim_now + slack_ms, pieces[p].device, head_dev);
+        continue;
       }
-      paste_overlap(dequantize(*back), se, current,
+      paste_overlap(*back, se, current,
                     TileExtent{0, 0, current.dim(2), current.dim(3)});
     }
-    report.logits = supernet_.forward_head(current);
+    logits = forward_members(
+        current, [&](const Tensor& x) { return supernet_.forward_head(x); });
     if (head_dev != 0) {
-      const QuantizedTensor qt = quantize(report.logits, QuantBits::k32);
-      const double arrival = transport_.send(
-          head_dev, 0, make_tag(1001, 0, 0), encode_activation(qt),
-          qt.wire_bytes(), inj ? sim_now : 0.0);
-      if (inj) {
-        const auto msg = transport_.recv_for(0, make_tag(1001, 0, 0),
-                                             arrival + failover_.recv_slack_ms);
-        std::optional<QuantizedTensor> got;
-        if (msg) got = decode_activation(msg->payload);
-        if (got) {
-          report.logits = dequantize(*got);
-        } else {
-          // Logits lost on the return hop; the locally computed copy is
-          // identical (k32 wire), so serve it and charge the wait.
-          ++report.local_fallbacks;
-          fo_penalty_ms += arrival - sim_now + failover_.recv_slack_ms;
-          blame(head_dev, 0);
-          obs::add("runtime.failover.local_fallback");
-        }
-      } else {
-        const auto msg = transport_.recv(0, make_tag(1001, 0, 0));
-        report.logits = dequantize(*decode_activation(msg.payload));
-      }
+      const double arrival = send_batch(logits, QuantBits::k32, head_dev, 0,
+                                        btag(1001, 0, 0));
+      if (auto got = recv_batch(0, btag(1001, 0, 0), arrival + slack_ms))
+        logits = std::move(*got);
+      else  // lost on the return hop; the local copy is identical (k32 wire)
+        fall_back(arrival - sim_now + slack_ms, head_dev, 0);
     }
   }
 
   // Simulated latency from the analytic evaluator (identical cost model),
   // evaluated on the *effective* plan (post-redispatch) plus the honest
   // failover surcharge: burned waits, re-dispatch detection, retry backoff.
+  // It depends only on the strategy, so every member of a fused walk gets
+  // its standalone (batch == 1) value and attribution. Transport stats are
+  // walk-level aggregates and wall time is split evenly: batching is a
+  // wall-clock optimization, the simulated-time model is untouched.
   const partition::SubnetLatencyEvaluator eval(network_);
-  report.transport = transport_.stats();
-  report.local_fallbacks += fo_fallbacks;
-  report.failover_penalty_ms = fo_penalty_ms + report.transport.backoff_ms;
-  report.sim_latency_ms =
+  common.transport = transport_.stats();
+  common.failover_penalty_ms = fo_penalty_ms + common.transport.backoff_ms;
+  common.sim_latency_ms =
       eval.evaluate(config, plan, nullptr,
-                    obs::enabled() ? &report.attrib : nullptr)
+                    obs::enabled() ? &common.attrib : nullptr)
           .total_ms +
-      report.failover_penalty_ms;
-  report.sim_occupancy_ms = report.sim_latency_ms;
-  report.degraded = report.redispatched_tiles > 0 ||
-                    report.local_fallbacks > 0 ||
-                    report.transport.drops > 0 ||
-                    report.transport.timeouts > 0;
-  if (obs::enabled()) {
-    obs::add("exec.runs");
-    obs::add("exec.partitioned_blocks",
-             static_cast<std::uint64_t>(report.partitioned_blocks));
-    obs::gauge_set("kernel.workspace_bytes",
-                   static_cast<double>(Workspace::tls().capacity_bytes()));
-  }
-  report.wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - t_start)
-          .count();
-  return report;
-}
-
-BatchExecutionReport DistributedExecutor::run_batch(
-    const std::vector<Tensor>& images, const SubnetConfig& config,
-    const partition::PlacementPlan& plan, const std::vector<double>& sim_start_ms) {
-  if (sim_start_ms.size() != images.size())
-    throw std::invalid_argument(
-        "run_batch: sim_start_ms has " + std::to_string(sim_start_ms.size()) +
-        " entries for " + std::to_string(images.size()) + " images");
-  BatchExecutionReport out;
-  if (images.empty()) return out;
-  const auto t_start = std::chrono::steady_clock::now();
-
-  // Failover is a per-request protocol (per-request sim anchors, per-device
-  // blame), so under fault injection the batch decomposes to serial runs.
-  // Single-member batches take the serial path too: it is the same work.
-  if (failover_.injector != nullptr || images.size() == 1) {
-    out.reports.reserve(images.size());
-    for (std::size_t i = 0; i < images.size(); ++i)
-      out.reports.push_back(run(images[i], config, plan, sim_start_ms[i]));
-    out.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - t_start)
-                      .count();
-    return out;
-  }
-
-  MURMUR_SPAN("exec.batch", "exec",
-              obs::maybe_histogram("stage.exec_batch_ms"));
-  transport_.reset_stats();
-  supernet_.activate(config);
-  const int n = static_cast<int>(images.size());
-  // Disjoint tag namespace per batch: the per-destination mailboxes act as
-  // double-buffered queues — a new batch's scatter can stage while the
-  // previous batch's receives drain, with no tag aliasing between them.
-  const std::uint64_t epoch =
-      (batch_epoch_.fetch_add(1, std::memory_order_relaxed) & 0x7fffull) << 48;
-  const auto btag = [epoch](int block, int tile, int piece) {
-    return epoch | make_tag(block, tile, piece);
-  };
-  // Per-sample quantize + one ACTB envelope: each member's wire content is
-  // identical to what its serial run would have shipped (per-tensor scales
-  // are computed per sample, never across the batch).
-  const auto send_batch = [&](const Tensor& region, QuantBits bits, int src,
-                              int dst, std::uint64_t tag) {
-    std::vector<QuantizedTensor> qts;
-    qts.reserve(static_cast<std::size_t>(n));
-    std::size_t wire = 0;
-    for (int i = 0; i < n; ++i) {
-      qts.push_back(quantize(slice_members(region, i, i + 1), bits));
-      wire += qts.back().wire_bytes();
-    }
-    transport_.send(src, dst, tag, encode_activation_batch(qts), wire, 0.0);
-  };
-  const auto recv_batch = [&](int dst, std::uint64_t tag) {
-    const auto msg = transport_.recv(dst, tag);
-    const auto qts = decode_activation_batch(msg.payload);
-    assert(qts.has_value());
-    std::vector<Tensor> deq;
-    deq.reserve(qts->size());
-    for (const auto& qt : *qts) deq.push_back(dequantize(qt));
-    return concat_members(deq);
-  };
-  const auto stem = [&](const Tensor& x) { return supernet_.forward_stem(x); };
-
-  int partitioned_blocks = 0;
-
-  // --- Stem (device 0 holds the images) --------------------------------
-  Tensor current;
-  {
-    const int stem_dev = plan.stem_device;
-    if (stem_dev != 0) {
-      send_batch(concat_members(images), QuantBits::k32, 0, stem_dev,
-                 btag(-1, 0, 0));
-      current = forward_members(recv_batch(stem_dev, btag(-1, 0, 0)), stem);
-    } else {
-      current = forward_members(concat_members(images), stem);
-    }
-  }
-  std::vector<std::pair<TileExtent, int>> pieces{
-      {TileExtent{0, 0, current.dim(2), current.dim(3)}, plan.stem_device}};
-  QuantBits prev_quant = QuantBits::k32;  // stem output is fp32
-
-  // --- Blocks -----------------------------------------------------------
-  for (int b = 0; b < supernet::kMaxBlocks; ++b) {
-    if (!config.block_active(b)) continue;
-    const auto& bc = config.blocks[static_cast<std::size_t>(b)];
-    supernet_.prepare_block(b);
-
-    const bool tiled = supernet_.block_can_partition(b, current);
-    const auto extents =
-        tiled ? tile_extents(current.dim(2), current.dim(3), bc.grid)
-              : std::vector<TileExtent>{
-                    TileExtent{0, 0, current.dim(2), current.dim(3)}};
-    if (tiled) ++partitioned_blocks;
-
-    // Tile assembly/compute is dispatched FIRST so the scatter below
-    // overlaps it: workers assemble local pieces and block in recv for
-    // remote ones while this thread is still quantizing and sending.
-    std::vector<Tensor> outputs(extents.size());
-    std::vector<std::future<void>> tile_futs;
-    tile_futs.reserve(extents.size());
-    for (std::size_t t = 0; t < extents.size(); ++t) {
-      tile_futs.push_back(pool_.submit([&, t] {
-        MURMUR_SPAN("exec.tile", "exec", obs::maybe_histogram("stage.tile_ms"));
-        const int dev = plan.device[static_cast<std::size_t>(b)][tiled ? t : 0];
-        const auto& de = extents[t];
-        Tensor input({current.dim(0), current.dim(1), de.h, de.w});
-        for (std::size_t p = 0; p < pieces.size(); ++p) {
-          const auto& se = pieces[p].first;
-          if (!overlaps(de, se)) continue;
-          if (pieces[p].second == dev) {
-            paste_overlap(current, se, input, de);
-            continue;
-          }
-          const Tensor got = recv_batch(
-              dev, btag(b, static_cast<int>(t), static_cast<int>(p)));
-          const TileExtent ge{std::max(se.h0, de.h0), std::max(se.w0, de.w0),
-                              got.dim(2), got.dim(3)};
-          paste_overlap(got, ge, input, de);
-        }
-        outputs[t] = forward_members(input, [&](const Tensor& x) {
-          return supernet_.forward_block_tile(b, x);
-        });
-      }));
-    }
-
-    // Scatter (this thread): ship every cross-device overlap.
-    for (std::size_t t = 0; t < extents.size(); ++t) {
-      const int dev = plan.device[static_cast<std::size_t>(b)][tiled ? t : 0];
-      for (std::size_t p = 0; p < pieces.size(); ++p) {
-        const auto& se = pieces[p].first;
-        if (pieces[p].second == dev || !overlaps(extents[t], se)) continue;
-        const auto& de = extents[t];
-        const int h0 = std::max(se.h0, de.h0);
-        const int h1 = std::min(se.h0 + se.h, de.h0 + de.h);
-        const int w0 = std::max(se.w0, de.w0);
-        const int w1 = std::min(se.w0 + se.w, de.w0 + de.w);
-        send_batch(current.crop(h0, w0, h1 - h0, w1 - w0), prev_quant,
-                   pieces[p].second, dev,
-                   btag(b, static_cast<int>(t), static_cast<int>(p)));
-      }
-    }
-    for (auto& f : tile_futs) f.get();
-
-    const auto geo = supernet::CostModel::block_geometry(config, b);
-    std::vector<std::pair<TileExtent, int>> next_pieces;
-    std::vector<TileExtent> out_extents;
-    next_pieces.reserve(extents.size());
-    out_extents.reserve(extents.size());
-    for (std::size_t t = 0; t < extents.size(); ++t) {
-      const TileExtent oe{extents[t].h0 / geo.stride, extents[t].w0 / geo.stride,
-                          extents[t].h / geo.stride, extents[t].w / geo.stride};
-      out_extents.push_back(oe);
-      next_pieces.emplace_back(
-          oe, plan.device[static_cast<std::size_t>(b)][tiled ? t : 0]);
-    }
-    current = merge_tiles(outputs, out_extents, outputs.front().dim(1),
-                          current.dim(2) / geo.stride,
-                          current.dim(3) / geo.stride);
-    pieces = std::move(next_pieces);
-    prev_quant = bc.quant;
-  }
-
-  // --- Head: gather to the head device, classify, return logits. -------
-  Tensor logits;
-  {
-    const int head_dev = plan.head_device;
-    for (std::size_t p = 0; p < pieces.size(); ++p) {
-      if (pieces[p].second == head_dev) continue;
-      const auto& se = pieces[p].first;
-      send_batch(current.crop(se.h0, se.w0, se.h, se.w), prev_quant,
-                 pieces[p].second, head_dev,
-                 btag(1000, 0, static_cast<int>(p)));
-      paste_overlap(recv_batch(head_dev, btag(1000, 0, static_cast<int>(p))),
-                    se, current,
-                    TileExtent{0, 0, current.dim(2), current.dim(3)});
-    }
-    logits = forward_members(
-        current, [&](const Tensor& x) { return supernet_.forward_head(x); });
-    if (head_dev != 0) {
-      send_batch(logits, QuantBits::k32, head_dev, 0, btag(1001, 0, 0));
-      logits = recv_batch(0, btag(1001, 0, 0));
-    }
-  }
-
-  // Per-member accounting: simulated latency comes from the same analytic
-  // evaluator as the serial path (it depends only on the strategy, so the
-  // batch changes nothing); transport stats are batch-level aggregates and
-  // wall time is split evenly — batching is a wall-clock optimization, the
-  // simulated-time model is untouched.
-  const partition::SubnetLatencyEvaluator eval(network_);
-  const TransportStats tstats = transport_.stats();
-  // Every fused member's sim latency is its standalone (batch == 1)
-  // evaluation, so all members share one attribution breakdown too.
-  partition::PhaseBreakdown batch_attrib;
-  const double sim_lat =
-      eval.evaluate(config, plan, nullptr,
-                    obs::enabled() ? &batch_attrib : nullptr)
-          .total_ms;
-  // Occupancy: the fused pass keeps the executor busy for the batch's
+      common.failover_penalty_ms;
+  // Occupancy: a fused walk keeps the executor busy for the batch's
   // evaluated latency (bytes and compute scale with n, per-message delays
   // are amortized); each member owns an equal share of it.
-  const double sim_occ = eval.batch_latency_ms(config, plan, n) / n;
-  out.batched = true;
-  out.wall_ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - t_start)
-                    .count();
-  out.reports.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    ExecutionReport r;
-    r.logits = slice_members(logits, i, i + 1);
-    r.sim_latency_ms = sim_lat;
-    r.sim_occupancy_ms = sim_occ;
-    r.wall_ms = out.wall_ms / n;
-    r.transport = tstats;
-    r.partitioned_blocks = partitioned_blocks;
-    r.attrib = batch_attrib;
-    out.reports.push_back(std::move(r));
-  }
+  common.sim_occupancy_ms = n == 1 ? common.sim_latency_ms
+                                   : eval.batch_latency_ms(config, plan, n) / n;
+  common.degraded = common.redispatched_tiles > 0 ||
+                    common.local_fallbacks > 0 ||
+                    common.transport.drops > 0 ||
+                    common.transport.timeouts > 0;
   if (obs::enabled()) {
     obs::add("exec.runs", static_cast<std::uint64_t>(n));
-    obs::add("exec.batch.runs");
-    obs::add("exec.batch.requests", static_cast<std::uint64_t>(n));
     obs::add("exec.partitioned_blocks",
-             static_cast<std::uint64_t>(partitioned_blocks));
+             static_cast<std::uint64_t>(common.partitioned_blocks));
     obs::gauge_set("kernel.workspace_bytes",
                    static_cast<double>(Workspace::tls().capacity_bytes()));
   }
-  return out;
+  common.wall_ms = ms_since(t_start) / n;
+  std::vector<ExecutionReport> reports(static_cast<std::size_t>(n), common);
+  for (int i = 0; i < n; ++i)
+    reports[static_cast<std::size_t>(i)].logits =
+        slice_members(logits, i, i + 1);
+  return reports;
 }
 
 }  // namespace murmur::runtime

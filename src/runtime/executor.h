@@ -67,14 +67,15 @@ struct ExecutionReport {
 
 /// Result of a strategy-coalesced batch (DESIGN.md §5.10). Per-request
 /// reports stay individual — logits and simulated latency are identical to
-/// what a serial run would produce — while wall-clock costs (activation,
-/// per-block scaffolding, transport envelopes) are paid once per batch.
+/// what running each member as its own batch of one would produce — while
+/// wall-clock costs (activation, per-block scaffolding, transport
+/// envelopes) are paid once per walk.
 struct BatchExecutionReport {
   std::vector<ExecutionReport> reports;  // one per batch member, in order
-  /// True when the members executed as a single fused pass; false when the
-  /// batch was decomposed to per-request run() calls (fault injection is
-  /// attached, or the batch has one member). Transport stats in the fused
-  /// case are batch-level aggregates shared by every member's report.
+  /// True when every member ran in one walk (no fault injector attached);
+  /// false when each member walked on its own because failover is a
+  /// per-request protocol. Transport stats of a shared walk are walk-level
+  /// aggregates present in every member's report.
   bool batched = false;
   double wall_ms = 0.0;  // wall-clock of the whole batch
 };
@@ -95,45 +96,57 @@ class DistributedExecutor {
     transport_.set_wall_budget_ms(ms);
   }
 
-  /// Execute `image` (NCHW, spatial size == config.resolution) under the
-  /// given strategy. The supernet's active config is set to `config`.
-  /// `sim_start_ms` anchors the request on the simulated clock so
-  /// scheduled faults (crash at t, blackout window) line up with the
-  /// blocks executing at that time.
+  /// Execute `image` (1 x C x R x R, R == config.resolution) under the
+  /// given strategy: run_batch of a batch of one. The supernet's active
+  /// config is set to `config`. `sim_start_ms` anchors the request on the
+  /// simulated clock so scheduled faults (crash at t, blackout window) line
+  /// up with the blocks executing at that time.
   ExecutionReport run(const Tensor& image,
                       const supernet::SubnetConfig& config,
                       const partition::PlacementPlan& plan,
                       double sim_start_ms = 0.0);
 
   /// Execute a strategy-coalesced batch: every image runs under the SAME
-  /// (config, plan), activated once. Samples are quantized individually at
-  /// tile boundaries and shipped in one ACTB envelope per (tile, piece), so
-  /// each member's logits are bitwise identical to a serial run() of that
-  /// member. Tile scatter overlaps tile compute: assembly tasks are
-  /// dispatched to the device pool before the send loop runs, and tag
-  /// epochs give consecutive batches disjoint mailbox namespaces so a
-  /// batch's trailing receives never alias the next batch's leading sends.
-  /// Each unit forward (stem, every tile, head) is split along the member
-  /// dimension into contiguous chunks run concurrently on the kernel pool
-  /// (tensor/gemm.h kernel_parallel_for); the split sits between receive
-  /// and send, so envelopes, payload bytes and the sim clock do not change.
-  /// With a fault injector attached (failover is a per-request protocol)
-  /// or a single-member batch, the batch decomposes to per-request run()
-  /// calls with per-member sim anchors. An empty batch returns an empty
-  /// report; throws std::invalid_argument unless sim_start_ms has one
-  /// entry per image.
+  /// (config, plan), activated once, in one stem -> blocks -> head walk.
+  /// Samples are quantized individually at tile boundaries and shipped in
+  /// one ACTB envelope per (tile, piece), so each member's logits are
+  /// bitwise identical to a batch of that member alone. Tile scatter
+  /// overlaps tile compute: assembly tasks are dispatched to the device
+  /// pool before the send loop runs, and tag epochs give consecutive walks
+  /// disjoint mailbox namespaces so a walk's trailing receives never alias
+  /// the next walk's leading sends. Each unit forward (stem, every tile,
+  /// head) is split along the member dimension into contiguous chunks run
+  /// concurrently on the kernel pool (tensor/gemm.h kernel_parallel_for);
+  /// the split sits between receive and send, so envelopes, payload bytes
+  /// and the sim clock do not change.
+  /// With a fault injector attached the same walk runs once per member,
+  /// anchored at that member's sim_start_ms, with the failover protocol
+  /// (DESIGN.md §5.8): redispatch off dead devices before anything ships,
+  /// deadline receives, local fallback with the burned wait charged, and
+  /// per-device blame. An empty batch returns an empty report. Throws
+  /// std::invalid_argument unless sim_start_ms has one entry per image and
+  /// every image is a rank-4 single member of spatial size
+  /// config.resolution with the first image's shape.
   BatchExecutionReport run_batch(const std::vector<Tensor>& images,
                                  const supernet::SubnetConfig& config,
                                  const partition::PlacementPlan& plan,
                                  const std::vector<double>& sim_start_ms);
 
  private:
+  /// The one stem -> blocks -> head walk over `members` (n x C x R x R),
+  /// returning one report per member. `plan` is a copy: failover rewrites
+  /// its entries to the effective placement.
+  std::vector<ExecutionReport> walk(const Tensor& members,
+                                    const supernet::SubnetConfig& config,
+                                    partition::PlacementPlan plan,
+                                    double sim_start_ms);
+
   supernet::Supernet& supernet_;
   const netsim::Network& network_;
   Transport transport_;
   ThreadPool pool_;
   FailoverOptions failover_;
-  std::atomic<std::uint64_t> batch_epoch_{1};  // tag namespace per batch
+  std::atomic<std::uint64_t> batch_epoch_{1};  // tag namespace per walk
 };
 
 }  // namespace murmur::runtime

@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <chrono>
+#include <stdexcept>
+#include <string>
 
 #include "obs/trace.h"
 #include "runtime/adapt.h"
@@ -185,8 +187,8 @@ InferenceResult MurmurationSystem::infer_impl(const Tensor& image,
   MURMUR_SPAN("infer", "runtime", obs::maybe_histogram("stage.request_ms"));
   PlannedRequest pr = plan_request_impl(ctx, rng);
   if (pr.failed_fast) return std::move(pr.result);
-  // One-member batch: run_batch decomposes it to the serial executor path,
-  // so this is behaviorally identical to the pre-batching pipeline.
+  // A one-member batch: the executor has one walk, so a single request and
+  // a coalesced group run the same code.
   execute_batch(std::span<const Tensor>(&image, 1),
                 std::span<PlannedRequest>(&pr, 1));
   return std::move(pr.result);
@@ -336,7 +338,10 @@ PlannedRequest MurmurationSystem::plan_request_impl(const RequestContext& ctx,
 
 void MurmurationSystem::execute_batch(std::span<const Tensor> images,
                                       std::span<PlannedRequest> batch) {
-  assert(images.size() == batch.size());
+  if (images.size() != batch.size())
+    throw std::invalid_argument(
+        "execute_batch: " + std::to_string(images.size()) + " images for " +
+        std::to_string(batch.size()) + " requests");
   std::vector<std::size_t> live;
   live.reserve(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i)
@@ -344,12 +349,12 @@ void MurmurationSystem::execute_batch(std::span<const Tensor> images,
   if (live.empty()) return;
 
   const auto& strategy = batch[live.front()].result.decision.strategy;
-#ifndef NDEBUG
-  for (const std::size_t i : live) {
-    assert(batch[i].result.decision.strategy.config == strategy.config);
-    assert(batch[i].result.decision.strategy.plan == strategy.plan);
-  }
-#endif
+  for (const std::size_t i : live)
+    if (batch[i].result.decision.strategy.config != strategy.config ||
+        batch[i].result.decision.strategy.plan != strategy.plan)
+      throw std::invalid_argument(
+          "execute_batch: member " + std::to_string(i) +
+          " carries a different strategy than the first live member");
   netsim::FaultInjector* const inj = executor_->failover().injector;
   std::vector<bool> exec_degraded(live.size(), false);
 
@@ -390,8 +395,8 @@ void MurmurationSystem::execute_batch(std::span<const Tensor> images,
       exec_degraded[k] = rep.degraded;
 
       // Feed the breakers: every remote device that participated in (or
-      // was failed out of) this member reports success or failure. The
-      // fused batch path never produces device_failures (no injector).
+      // was failed out of) this member reports success or failure.
+      // device_failures is filled only under an injector.
       if (inj && !rep.device_failures.empty()) {
         const std::vector<bool> used =
             partition::plan_participants(result.decision.strategy.plan,

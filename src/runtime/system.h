@@ -205,9 +205,10 @@ class MurmurationSystem {
   /// Execution half: run planned requests as ONE strategy-coalesced batch.
   /// Every non-failed member must carry the same strategy (config + plan);
   /// the serving layer guarantees this by grouping on strategy_key and
-  /// verifying equality. Reconfigures the supernet once (the first live
+  /// verifying equality. Throws std::invalid_argument, before any side
+  /// effect, if it does not or if images and batch differ in size. Reconfigures the supernet once (the first live
   /// member's result carries the measured switch wall time, the rest 0),
-  /// executes the fused batch, then finishes each member individually:
+  /// executes the batch, then finishes each member individually:
   /// argmax, honest per-request SLO judgment against its own ctx, outcome
   /// precedence, metrics. `images[i]` belongs to `batch[i]`; failed-fast
   /// members are skipped. Results land in batch[i].result.

@@ -196,6 +196,46 @@ TEST(BatchedExecutor, DecomposesUnderFaultInjectorAndStaysIdentical) {
   ASSERT_EQ(batched.reports.size(), images.size());
   for (std::size_t i = 0; i < images.size(); ++i)
     EXPECT_GT(batched.reports[i].logits.size(), 0u);
+
+  // Per-member sim anchors: device 3 crashes between the two members'
+  // starts, so only the later member sees it. Each member's report must
+  // equal a standalone run() of that member, failover accounting included.
+  SubnetConfig spread_c = SubnetConfig::min_config();
+  spread_c.resolution = 192;
+  for (auto& b : spread_c.blocks) b.grid = PartitionGrid{2, 2};
+  partition::PlacementPlan spread = partition::PlacementPlan::all_local();
+  for (auto& row : spread.device) row = {1, 2, 3, 4};
+  spread.head_device = 1;
+  const double clean_ms =
+      partition::SubnetLatencyEvaluator(network).latency_ms(spread_c, spread);
+  plan.crash(3, 10.0 * clean_ms);
+  FaultInjector crash_inj(plan, /*seed=*/5);
+  exec.set_failover({.injector = &crash_inj});
+  std::vector<Tensor> spread_images;
+  for (int i = 0; i < 2; ++i)
+    spread_images.push_back(Tensor::randn({1, 3, 192, 192}, rng, 0.0f, 0.5f));
+  const std::vector<double> starts = {0.0, 20.0 * clean_ms};
+  const auto anchored = exec.run_batch(spread_images, spread_c, spread, starts);
+  EXPECT_FALSE(anchored.batched);
+  ASSERT_EQ(anchored.reports.size(), 2u);
+  EXPECT_FALSE(anchored.reports[0].degraded);
+  EXPECT_TRUE(anchored.reports[1].degraded);
+  for (std::size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE(::testing::Message() << "member " << i);
+    const auto& r = anchored.reports[i];
+    const auto solo = exec.run(spread_images[i], spread_c, spread, starts[i]);
+    expect_bitwise_equal(solo.logits, r.logits, "member");
+    EXPECT_EQ(r.redispatched_tiles, solo.redispatched_tiles);
+    EXPECT_EQ(r.local_fallbacks, solo.local_fallbacks);
+    EXPECT_EQ(r.device_failures, solo.device_failures);
+    EXPECT_EQ(r.transport.messages, solo.transport.messages);
+    EXPECT_EQ(r.transport.drops, solo.transport.drops);
+    EXPECT_EQ(r.transport.retries, solo.transport.retries);
+    EXPECT_EQ(r.transport.timeouts, solo.transport.timeouts);
+    EXPECT_EQ(r.degraded, solo.degraded);
+    EXPECT_NEAR(r.failover_penalty_ms, solo.failover_penalty_ms, 1e-9);
+    EXPECT_NEAR(r.sim_latency_ms, solo.sim_latency_ms, 1e-9);
+  }
 }
 
 TEST(BatchedExecutor, EmptyBatchReturnsEmptyReport) {
@@ -223,6 +263,18 @@ TEST(BatchedExecutor, MismatchedSimStartsThrowInvalidArgument) {
   EXPECT_THROW(exec.run_batch(images, c, plan, {0.0, 0.0, 0.0}),
                std::invalid_argument);
   EXPECT_THROW(exec.run_batch({}, c, plan, {0.0}), std::invalid_argument);
+  // Malformed images: not rank 4, more than one member, a spatial size
+  // other than config.resolution, or a shape different from the first.
+  const auto one_image = [&](std::vector<int> shape) {
+    return exec.run_batch({Tensor(std::move(shape))}, c, plan, {0.0});
+  };
+  EXPECT_THROW(one_image({3, 160, 160}), std::invalid_argument);
+  EXPECT_THROW(one_image({2, 3, 160, 160}), std::invalid_argument);
+  EXPECT_THROW(one_image({1, 3, 128, 128}), std::invalid_argument);
+  EXPECT_THROW(one_image({1, 3, 160, 128}), std::invalid_argument);
+  EXPECT_THROW(exec.run_batch({images[0], Tensor({1, 1, 160, 160})}, c, plan,
+                              {0.0, 0.0}),
+               std::invalid_argument);
 }
 
 TEST(BatchedExecutor, MemberSplitBitwiseAcrossThreadCounts) {
@@ -404,6 +456,35 @@ TEST(BatchedSystem, ExecuteBatchBitwiseMatchesSerialPipeline) {
     EXPECT_TRUE(r.decision.strategy.config == s.decision.strategy.config);
     EXPECT_TRUE(r.decision.strategy.plan == s.decision.strategy.plan);
   }
+}
+
+TEST(BatchedSystem, ExecuteBatchRejectsMalformedBatchBeforeAnySideEffect) {
+  auto system = runtime::MurmurationSystem(
+      tiny_artifacts(netsim::Scenario::kAugmentedComputing),
+      tiny_system_opts());
+  std::vector<Tensor> images;
+  std::vector<runtime::PlannedRequest> planned;
+  for (int i = 0; i < 2; ++i) {
+    images.push_back(test_image(95 + static_cast<std::uint64_t>(i)));
+    runtime::RequestContext ctx;
+    ctx.slo = ctx.plan_slo = core::Slo::latency_ms(10'000.0);
+    ctx.sim_now_ms = 25.0 * i;
+    ctx.seed = 800 + static_cast<std::uint64_t>(i);
+    planned.push_back(system.plan_request(ctx));
+  }
+  // A second member under a different strategy must not run under the
+  // first member's.
+  auto& q = planned[1].result.decision.strategy.config.blocks[0].quant;
+  q = q == QuantBits::k8 ? QuantBits::k32 : QuantBits::k8;
+  const auto switches = system.host().switch_count();
+  const auto held = system.host().held_switches();
+  ASSERT_THROW(system.execute_batch(images, planned), std::invalid_argument);
+  EXPECT_THROW(system.execute_batch(std::span<const Tensor>(images.data(), 1),
+                                    planned),
+               std::invalid_argument);
+  EXPECT_EQ(system.host().switch_count(), switches);
+  EXPECT_EQ(system.host().held_switches(), held);
+  for (const auto& pr : planned) EXPECT_EQ(pr.result.logits.size(), 0u);
 }
 
 // ------------------------------------------------------- serving level ----

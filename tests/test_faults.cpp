@@ -635,6 +635,64 @@ TEST(ExecutorFailover, ChaosRunCompletesEveryRequest) {
   EXPECT_EQ(total.timeouts, total.drops);
 }
 
+TEST(ExecutorFailover, CrashScheduleAccountingIsExact) {
+  // Deterministic failover scenario (no packet loss, so no RNG): device 2
+  // is dead before the first request starts and device 3 dies halfway
+  // through the clean critical path. Every count and charge below comes
+  // from the analytic network model, never from host kernels, so the
+  // values are host-independent; they pin the failover protocol itself
+  // (redispatch, deadline receives, local fallback, blame, sim clock).
+  supernet::Supernet net(tiny_opts());
+  auto network = netsim::make_device_swarm();
+  runtime::DistributedExecutor exec(net, network);
+  Rng rng(34);
+  Tensor img = Tensor::randn({1, 3, 192, 192}, rng, 0.0f, 0.5f);
+  const SubnetConfig c = spread_config();
+  const partition::PlacementPlan plan = spread_plan();
+  const double clean_latency =
+      partition::SubnetLatencyEvaluator(network).latency_ms(c, plan);
+
+  FaultPlan fp;
+  fp.crash(2, 0.0);
+  fp.crash(3, clean_latency / 2.0);
+  FaultInjector inj(fp);
+  runtime::FailoverOptions fo;
+  fo.injector = &inj;
+  exec.set_failover(fo);
+
+  struct Expected {
+    double sim_start_ms;
+    int redispatched_tiles, local_fallbacks;
+    std::vector<int> device_failures;
+    std::uint64_t messages, drops, retries, timeouts;
+    double failover_penalty_ms, sim_latency_ms;
+  };
+  const std::vector<Expected> expected = {
+      // Device 3 dies mid-request: its later tiles are redispatched, and
+      // two regions it computed just before the crash can no longer leave
+      // it, so each exhausts its retries and the receiver falls back.
+      {0.0, 14, 2, {0, 0, 10, 6, 0}, 16, 2, 6, 2, 326.218432, 403.178208},
+      // Both devices are dead from the start: every one of their tile
+      // assignments is redispatched before anything ships.
+      {clean_latency, 20, 0, {0, 0, 10, 10, 0}, 17, 0, 0, 0, 100.0,
+       176.651221333333},
+  };
+  for (const auto& e : expected) {
+    SCOPED_TRACE(::testing::Message() << "sim_start_ms=" << e.sim_start_ms);
+    const auto rep = exec.run(img, c, plan, e.sim_start_ms);
+    EXPECT_EQ(rep.redispatched_tiles, e.redispatched_tiles);
+    EXPECT_EQ(rep.local_fallbacks, e.local_fallbacks);
+    EXPECT_EQ(rep.device_failures, e.device_failures);
+    EXPECT_EQ(rep.transport.messages, e.messages);
+    EXPECT_EQ(rep.transport.drops, e.drops);
+    EXPECT_EQ(rep.transport.retries, e.retries);
+    EXPECT_EQ(rep.transport.timeouts, e.timeouts);
+    EXPECT_TRUE(rep.degraded);
+    EXPECT_NEAR(rep.failover_penalty_ms, e.failover_penalty_ms, 1e-9);
+    EXPECT_NEAR(rep.sim_latency_ms, e.sim_latency_ms, 1e-9);
+  }
+}
+
 // --------------------------------------------------------- system facade ----
 
 core::TrainedArtifacts tiny_artifacts(netsim::Scenario scenario) {
