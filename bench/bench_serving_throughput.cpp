@@ -1,5 +1,5 @@
-// Serving-layer sustained throughput: serial workers vs strategy-coalesced
-// batching (DESIGN.md §5.10).
+// Serving-layer sustained throughput: serial (groups of one) vs
+// strategy-coalesced batching (DESIGN.md §5.10).
 //
 // Workload: augmented computing (Pi 4 + desktop GPU) with the remote link
 // shaped to a metro-edge profile (1 Gbps / 10 ms one-way delay, the
@@ -178,13 +178,12 @@ RunStats run_mode(std::size_t max_batch, int requests) {
   runtime::MurmurationSystem system(std::move(artifacts), sys_opts);
 
   runtime::ServingOptions serve_opts;
-  serve_opts.workers = 4;
   serve_opts.queue_capacity = 8;
   serve_opts.seed = 17;
   serve_opts.max_batch = max_batch;
   // The group's sim-clock span covers max_batch arrivals at the sustained
   // spacing; the wall-clock grace keeps a steady trickle from fragmenting
-  // groups the instant the dispatch queue momentarily runs dry.
+  // groups the instant the replica queue momentarily runs dry.
   serve_opts.batch_window_ms = 400.0;
   serve_opts.drain_grace_ms = 5.0;
 
@@ -296,13 +295,10 @@ PoolStats run_pool(int replicas, int requests, std::size_t max_batch) {
   pool_opts.drain_grace_ms = 5.0;
   runtime::ReplicaPool pool(std::move(systems), pool_opts);
 
+  // Coalescing follows pool_opts; admission needs only its own options.
   runtime::ServingOptions serve_opts;
-  serve_opts.workers = 4;
   serve_opts.queue_capacity = 8;  // scales by the routable-replica count
   serve_opts.seed = 17;
-  serve_opts.max_batch = max_batch;
-  serve_opts.batch_window_ms = 400.0;
-  serve_opts.drain_grace_ms = 5.0;
 
   const core::Slo tight = core::Slo::latency_ms(kSloMs);
   const core::Slo loose = core::Slo::latency_ms(kSloLooseMs);

@@ -37,7 +37,7 @@ double monotonic_ms() noexcept;
 std::uint32_t current_thread_id() noexcept;
 
 /// Register a human-readable name for the calling thread (worker pools name
-/// their workers, the serving dispatcher names itself). Read back by the
+/// their workers, the replica pool its router and workers). Read back by the
 /// trace exporter as Chrome `thread_name` metadata so exported traces show
 /// "device-pool/w2" instead of an anonymous tid.
 void set_thread_name(const std::string& name);

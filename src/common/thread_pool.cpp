@@ -7,15 +7,27 @@
 
 namespace murmur {
 
-ThreadPool::ThreadPool(std::size_t threads, std::string name) {
-  if (threads == 0)
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+namespace {
+std::size_t resolve_threads(std::size_t threads) {
+  return threads == 0
+             ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
+             : threads;
+}
+}  // namespace
+
+ThreadPool::ThreadPool(std::size_t threads, std::string name)
+    : named_(static_cast<std::ptrdiff_t>(resolve_threads(threads))) {
+  threads = resolve_threads(threads);
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i)
     workers_.emplace_back([this, name, i] {
       if (!name.empty()) set_thread_name(name + "/w" + std::to_string(i));
+      named_.count_down();
       worker_loop();
     });
+  // Return only once every worker has named itself, so a trace exported
+  // right after construction already labels the whole pool.
+  named_.wait();
 }
 
 ThreadPool::~ThreadPool() {

@@ -11,6 +11,7 @@
 #include <deque>
 #include <functional>
 #include <future>
+#include <latch>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -23,7 +24,8 @@ class ThreadPool {
   /// `threads == 0` means std::thread::hardware_concurrency() (min 1).
   /// A non-empty `name` registers each worker as "<name>/w<i>" in the
   /// thread-name registry (common/log.h) so trace exports label pool
-  /// threads instead of showing anonymous tids.
+  /// threads instead of showing anonymous tids; the constructor returns
+  /// only after every worker has registered its name.
   explicit ThreadPool(std::size_t threads = 0, std::string name = {});
   ~ThreadPool();
 
@@ -70,6 +72,10 @@ class ThreadPool {
   std::condition_variable cv_;
   std::atomic<std::size_t> active_{0};
   bool stop_ = false;
+  /// Counted down by each worker once named; a member rather than a
+  /// constructor local, so the last count_down's wake-up never touches a
+  /// dead latch after the constructor returns.
+  std::latch named_;
 };
 
 }  // namespace murmur

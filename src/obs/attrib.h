@@ -9,13 +9,15 @@
 //     every request (tests/test_attrib.cpp asserts it across serial,
 //     batched and fault-injected serving).
 //   * wall_ms — host wall clock, informational. Wall phases do NOT sum to
-//     the wall request latency (threads overlap, the dispatcher batches);
+//     the wall request latency (threads overlap, replica workers batch);
 //     they exist to explain sim/wall gaps such as the batched-vs-serial
 //     throughput inversion in BENCH_serving.json.
 //
 // Phase taxonomy (DESIGN.md §5.11):
 //   kQueueWait      admission queue: est_start - arrival on the sim clock.
-//   kBatchWindow    dispatcher coalescing delay. Zero on the sim clock by
+//   kBatchWindow    replica-queue coalescing delay: from joining the
+//                   replica queue to the start of the request's group,
+//                   charged by the pool worker. Zero on the sim clock by
 //                   construction — the occupancy model amortizes batching
 //                   into per-member occupancy instead of charging a wait —
 //                   so the phase is wall-only today; the slot exists so the

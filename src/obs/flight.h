@@ -50,7 +50,9 @@ struct FlightRecord {
   std::uint64_t seq = 0;           // serving admission sequence number
   std::uint64_t strategy_key = 0;  // coalescing fingerprint (0 if shed)
   std::uint64_t device_mask = 0;   // bit d: device d participated
-  std::uint64_t breaker_open_mask = 0;  // bit d: breaker d open at finish
+  /// Bit d: device d's breaker was not closed at finish, on the device
+  /// board of the replica system that served the request (0 if none did).
+  std::uint64_t breaker_open_mask = 0;
   double sim_arrival_ms = 0.0;
   double sim_start_ms = 0.0;    // arrival + queue wait
   double sim_latency_ms = 0.0;  // observed (queue + execution), 0 if shed
@@ -74,8 +76,9 @@ struct FlightRecord {
   std::uint8_t constraint_dims = 0;
   float slo_value = 0.0f;
   FlightOutcome outcome = FlightOutcome::kCompleted;
-  /// Serving replica that executed the request; -1 in single-system mode
-  /// (no pool) and for shed requests, which never reach a replica.
+  /// Serving replica that executed the request: 0 for single-system
+  /// serving (a pool of one); -1 for shed requests, which never reach a
+  /// replica.
   std::int16_t replica = -1;
   std::int16_t rung = 0;
   bool cache_hit = false;

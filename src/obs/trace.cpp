@@ -91,8 +91,8 @@ std::string Tracer::to_chrome_json() const {
   bool first = true;
   // Metadata first: one process_name, plus a thread_name for every tid
   // that registered one (common/log thread-name registry) — pool workers
-  // and the serving dispatcher name themselves, so exported traces show
-  // "serving/w2" instead of an anonymous tid.
+  // and the replica router and workers name themselves, so exported traces
+  // show "replica/router" instead of an anonymous tid.
   std::snprintf(buf, sizeof(buf),
                 "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
                 "\"tid\":0,\"args\":{\"name\":\"murmuration\"}}");

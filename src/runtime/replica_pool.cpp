@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <utility>
 
 #include "common/log.h"
@@ -20,8 +21,10 @@ const char* to_string(ReplicaState state) noexcept {
 }
 
 namespace {
-BreakerOptions replica_breaker(BreakerOptions b) {
-  b.exempt_origin = false;  // every replica is breakable, including 0
+BreakerOptions replica_breaker(BreakerOptions b, bool pool_of_one) {
+  // Every replica is breakable, including 0 — except the only replica of
+  // a pool of one, which has nobody to fail over to.
+  b.exempt_origin = pool_of_one;
   return b;
 }
 }  // namespace
@@ -29,18 +32,40 @@ BreakerOptions replica_breaker(BreakerOptions b) {
 ReplicaPool::ReplicaPool(
     std::vector<std::unique_ptr<MurmurationSystem>> replicas,
     ReplicaPoolOptions opts)
-    : opts_(opts), breakers_(replicas.size(), replica_breaker(opts.breaker)) {
+    : opts_(opts),
+      breakers_(replicas.size(), replica_breaker(opts.breaker, false)) {
+  for (auto& sys : replicas) {
+    MurmurationSystem& s = *sys;
+    add_replica(s, std::move(sys), ReplicaState::kServing);
+  }
+  start();
+}
+
+ReplicaPool::ReplicaPool(MurmurationSystem& system, ReplicaPoolOptions opts)
+    : opts_(opts), breakers_(1, replica_breaker(opts.breaker, true)) {
+  add_replica(system, nullptr, ReplicaState::kServing);
+  start();
+}
+
+ReplicaPool::Replica* ReplicaPool::add_replica(
+    MurmurationSystem& system, std::unique_ptr<MurmurationSystem> owned,
+    ReplicaState state) {
+  std::lock_guard lock(members_mutex_);
+  auto up = std::make_unique<Replica>();
+  up->id = static_cast<int>(replicas_.size());
+  up->system = &system;
+  up->owned = std::move(owned);
+  up->system->set_replica_id(up->id);
+  up->state.store(state);
+  replicas_.push_back(std::move(up));
+  return replicas_.back().get();
+}
+
+void ReplicaPool::start() {
   if (opts_.max_batch == 0) opts_.max_batch = 1;
   opts_.batch_window_ms = std::max(0.0, opts_.batch_window_ms);
   opts_.drain_grace_ms = std::max(0.0, opts_.drain_grace_ms);
   opts_.max_redispatches = std::max(0, opts_.max_redispatches);
-  for (auto& sys : replicas) {
-    auto r = std::make_unique<Replica>();
-    r->id = static_cast<int>(replicas_.size());
-    r->system = std::move(sys);
-    r->system->set_replica_id(r->id);
-    replicas_.push_back(std::move(r));
-  }
   for (auto& up : replicas_) {
     Replica* r = up.get();
     r->worker = std::thread([this, r] {
@@ -98,17 +123,8 @@ void ReplicaPool::submit(Tensor image, RequestContext ctx, DoneFn done) {
 
 int ReplicaPool::join(std::unique_ptr<MurmurationSystem> system,
                       double sim_now_ms) {
-  Replica* r = nullptr;
-  {
-    std::lock_guard lock(members_mutex_);
-    auto up = std::make_unique<Replica>();
-    up->id = static_cast<int>(replicas_.size());
-    up->system = std::move(system);
-    up->system->set_replica_id(up->id);
-    up->state.store(ReplicaState::kJoining);
-    r = up.get();
-    replicas_.push_back(std::move(up));
-  }
+  MurmurationSystem& s = *system;
+  Replica* r = add_replica(s, std::move(system), ReplicaState::kJoining);
   breakers_.grow_to(static_cast<std::size_t>(r->id) + 1);
   {
     std::lock_guard lock(reserve_mutex_);
@@ -289,7 +305,7 @@ core::Slo ReplicaPool::slo() const {
 
 MurmurationSystem* ReplicaPool::replica_system(int id) {
   Replica* r = rep(id);
-  return r ? r->system.get() : nullptr;
+  return r ? r->system : nullptr;
 }
 
 std::vector<ReplicaPool::ReplicaInfo> ReplicaPool::snapshot() const {
@@ -471,7 +487,8 @@ void ReplicaPool::route(PoolRequest req) {
       return;
     }
     target->queue.push_back(Routed{std::move(req.image), std::move(plan),
-                                   std::move(req.done), req.redispatches});
+                                   std::move(req.done), req.redispatches,
+                                   monotonic_ms()});
     target->load.fetch_add(1);
   }
   target->cv.notify_one();
@@ -519,73 +536,120 @@ void ReplicaPool::worker_loop(Replica& r) {
       group.reserve(opts_.max_batch);
       group.push_back(std::move(r.queue.front()));
       r.queue.pop_front();
-      const auto coalesces = [&](const Routed& cand) {
-        const PlannedRequest& head = group.front().plan;
-        return cand.plan.strategy_key == head.strategy_key &&
-               cand.plan.result.decision.strategy.config ==
-                   head.result.decision.strategy.config &&
-               cand.plan.result.decision.strategy.plan ==
-                   head.result.decision.strategy.plan &&
-               cand.plan.ctx.sim_now_ms <=
-                   head.ctx.sim_now_ms + opts_.batch_window_ms;
-      };
+      const PlannedRequest& head = group.front().plan;
+      const char* reason = "pool.flush.full";
+      std::atomic<std::uint64_t>* flushes = &full_flushes_;
       while (group.size() < opts_.max_batch) {
         if (r.queue.empty()) {
-          // Drain grace mirrors the dispatcher: wait a beat for another
-          // coalescible arrival before running a fragment.
-          if (opts_.drain_grace_ms <= 0.0 || stop_.load() ||
-              r.state.load() != ReplicaState::kServing)
+          // Drain grace: wait a beat for another arrival before running a
+          // fragment — a steady trickle of submissions would otherwise
+          // fragment every group the instant the queue runs dry.
+          if (opts_.drain_grace_ms > 0.0 && !stop_.load() &&
+              r.state.load() == ReplicaState::kServing)
+            r.cv.wait_for(lock,
+                          std::chrono::duration<double, std::milli>(
+                              opts_.drain_grace_ms),
+                          [&] { return stop_.load() || !r.queue.empty(); });
+          if (r.queue.empty()) {
+            reason = "pool.flush.drain";
+            flushes = &drain_flushes_;
             break;
-          r.cv.wait_for(lock,
-                        std::chrono::duration<double, std::milli>(
-                            opts_.drain_grace_ms),
-                        [&] { return stop_.load() || !r.queue.empty(); });
-          if (r.queue.empty()) break;
+          }
         }
-        if (!coalesces(r.queue.front())) break;
+        const PlannedRequest& next = r.queue.front().plan;
+        if (next.strategy_key != head.strategy_key ||
+            next.result.decision.strategy.config !=
+                head.result.decision.strategy.config ||
+            next.result.decision.strategy.plan !=
+                head.result.decision.strategy.plan) {
+          reason = "pool.flush.key";
+          flushes = &key_flushes_;
+          break;
+        }
+        if (next.ctx.sim_now_ms > head.ctx.sim_now_ms + opts_.batch_window_ms) {
+          reason = "pool.flush.window";
+          flushes = &window_flushes_;
+          break;
+        }
         group.push_back(std::move(r.queue.front()));
         r.queue.pop_front();
       }
+      flushes->fetch_add(1);
+      if (obs::enabled()) obs::add(reason);
     }
-
-    std::vector<Tensor> images;
-    std::vector<PlannedRequest> batch;
-    images.reserve(group.size());
-    batch.reserve(group.size());
-    for (Routed& m : group) {
-      images.push_back(std::move(m.image));
-      batch.push_back(std::move(m.plan));
-    }
-    r.system->execute_batch(images, batch);
-    batches_.fetch_add(1);
-    coalesced_.fetch_add(group.size() - 1);
-    r.executed.fetch_add(group.size());
-    if (obs::enabled()) {
-      obs::add("pool.batches");
-      if (group.size() > 1) obs::add("pool.coalesced", group.size() - 1);
-    }
-
-    if (r.state.load() == ReplicaState::kDead) {
-      // Crashed mid-execution: the results die with the replica. Hand the
-      // group back for re-planning on survivors — this is the in-flight
-      // half of crash tolerance (the queued half lives in kill()).
-      r.load.fetch_sub(static_cast<int>(group.size()));
-      for (std::size_t i = 0; i < group.size(); ++i)
-        redispatch(std::move(images[i]), batch[i].ctx,
-                   std::move(group[i].done), group[i].redispatches + 1);
-      return;
-    }
-
-    r.affinity_key.store(batch.front().strategy_key);
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      breakers_.record(static_cast<std::size_t>(r.id),
-                       batch[i].result.outcome == RequestOutcome::kFailed,
-                       batch[i].ctx.sim_now_ms);
-      group[i].done(Completion{std::move(batch[i].result), r.id,
-                               group[i].redispatches});
-    }
-    r.load.fetch_sub(static_cast<int>(group.size()));
+    execute_group(r, group);
   }
+}
+
+void ReplicaPool::execute_group(Replica& r, std::vector<Routed>& group) {
+  std::vector<Tensor> images;
+  std::vector<PlannedRequest> batch;
+  images.reserve(group.size());
+  batch.reserve(group.size());
+  for (Routed& m : group) {
+    images.push_back(std::move(m.image));
+    batch.push_back(std::move(m.plan));
+  }
+  batches_.fetch_add(1);
+  coalesced_.fetch_add(group.size() - 1);
+  r.executed.fetch_add(group.size());
+  if (obs::enabled()) {
+    obs::observe("pool.batch.size", static_cast<double>(group.size()));
+    obs::add("pool.batches");
+    if (group.size() > 1) obs::add("pool.coalesced", group.size() - 1);
+  }
+
+  const double exec_start_wall_ms = monotonic_ms();
+  bool threw = false;
+  try {
+    r.system->execute_batch(images, batch);
+  } catch (const std::exception& e) {
+    // A group execute_batch rejects (malformed image, mismatched batch)
+    // fails its members; the worker keeps serving the queue behind it.
+    MURMUR_LOG_WARN << "replica pool: replica " << r.id << " failed a group of "
+                    << group.size() << ": " << e.what();
+    threw = true;
+    for (PlannedRequest& pr : batch) {
+      pr.result.outcome = RequestOutcome::kFailed;
+      pr.result.slo_met = false;
+      pr.result.replica = r.id;
+    }
+  }
+
+  if (!threw && r.state.load() == ReplicaState::kDead) {
+    // Crashed mid-execution: the results die with the replica. Hand the
+    // group back for re-planning on survivors — this is the in-flight
+    // half of crash tolerance (the queued half lives in kill()).
+    r.load.fetch_sub(static_cast<int>(group.size()));
+    for (std::size_t i = 0; i < group.size(); ++i)
+      redispatch(std::move(images[i]), batch[i].ctx,
+                 std::move(group[i].done), group[i].redispatches + 1);
+    return;
+  }
+
+  if (!threw) r.affinity_key.store(batch.front().strategy_key);
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    if (obs::enabled()) {
+      // Wall-side batching-window phase: how long this member sat parked
+      // in the replica queue until its group *started* executing. The
+      // group's execution span is already attributed once, through each
+      // member's exec_wall_ms share — charging completion-time deltas here
+      // would bill that span to every member again. The sim clock charges
+      // nothing by construction (occupancy amortizes coalescing).
+      const double parked_ms =
+          std::max(0.0, exec_start_wall_ms - group[i].enqueue_wall_ms);
+      batch[i].result.ledger.charge_wall(obs::Phase::kBatchWindow, parked_ms);
+      // execute_batch already aggregated this request's ledger, before the
+      // group-level wait was known: feed the late phase to its histogram.
+      obs::observe("attrib.wall.batch_window", parked_ms);
+    }
+    breakers_.record(static_cast<std::size_t>(r.id),
+                     batch[i].result.outcome == RequestOutcome::kFailed,
+                     batch[i].ctx.sim_now_ms);
+    group[i].done(Completion{std::move(batch[i].result), r.id,
+                             group[i].redispatches});
+  }
+  r.load.fetch_sub(static_cast<int>(group.size()));
 }
 
 }  // namespace murmur::runtime

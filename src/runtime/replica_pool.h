@@ -1,17 +1,19 @@
-// Replica-sharded serving tier (DESIGN.md §5.13).
+// Replica-sharded serving tier (DESIGN.md §5.13), and the repo's one
+// execution scheduler: every ServingLayer fronts a ReplicaPool, a single
+// system being a pool of one.
 //
 // A ReplicaPool fronts N replicas, each a full MurmurationSystem (its own
 // resident SupernetHost, executor and device breaker board), with a single
 // router thread and one worker thread per replica:
 //
 //   * Routing: the router plans each request on a planner replica (the
-//     lowest-id live one), then routes the planned request to the replica
-//     whose last-executed strategy key matches — strategy affinity keeps a
-//     hot submodel resident instead of thrashing reconfiguration — falling
-//     back to the lowest-load routable replica (ties to the lowest id).
-//     Plans are plain data (config + placement), so planning on one
-//     replica and executing on another is sound: the simulated device
-//     topologies are identical across replicas.
+//     lowest-id live one), in submission order, then routes the planned
+//     request to the replica whose last-executed strategy key matches —
+//     strategy affinity keeps a hot submodel resident instead of thrashing
+//     reconfiguration — falling back to the lowest-load routable replica
+//     (ties to the lowest id). Plans are plain data (config + placement),
+//     so planning on one replica and executing on another is sound: the
+//     simulated device topologies are identical across replicas.
 //
 //   * Health: the §5.9 breaker machinery is generalized from devices to
 //     replicas — one BreakerBoard entry per replica (exempt_origin off:
@@ -19,7 +21,8 @@
 //     replica takes no traffic until its cooldown elapses and a single
 //     half-open probe request readmits it; the router deliberately steers
 //     a non-affinity request at the probed replica so the grant is spent,
-//     not burned.
+//     not burned. A pool of one has nowhere else to route, so its replica
+//     is the board's exempt origin and never trips.
 //
 //   * Membership (state machine, all transitions logged):
 //
@@ -41,11 +44,12 @@
 //     routable count, shedding with "no_healthy_replica" only when the
 //     pool has nobody to route to.
 //
-// Per-replica micro-batching mirrors serving's dispatcher (§5.10): each
-// worker greedily coalesces consecutive same-strategy queue entries up to
-// max_batch within the sim-clock batch window, so affinity routing
-// compounds with coalescing — same-key requests converge on the same
-// replica and then share one supernet switch.
+// Strategy-coalesced micro-batching (§5.10) happens in the replica worker,
+// the only place requests are grouped: each worker greedily coalesces
+// consecutive same-strategy queue entries up to max_batch within the
+// sim-clock batch window, so affinity routing compounds with coalescing —
+// same-key requests converge on the same replica and then share one
+// supernet switch. Each group is counted under exactly one flush reason.
 #pragma once
 
 #include <atomic>
@@ -65,16 +69,22 @@ namespace murmur::runtime {
 
 struct ReplicaPoolOptions {
   /// Upper bound on per-replica strategy-coalesced micro-batches (1 =
-  /// serve each routed request individually).
+  /// serve each routed request individually, as a group of one).
   std::size_t max_batch = 1;
-  /// Sim-clock width of an open per-replica batch group (see
-  /// ServingOptions::batch_window_ms).
+  /// Sim-clock width of an open per-replica batch group: a queued request
+  /// whose estimated start lies more than this past the group's first
+  /// member closes the group (bounds added batching latency on the sim
+  /// clock; the group also closes when full or when the queue runs dry, so
+  /// light load pays no window wait at all).
   double batch_window_ms = 25.0;
   /// Wall-clock grace a worker waits for further routed arrivals before
-  /// drain-flushing an open, non-full group.
+  /// drain-flushing an open, non-full group. 0 flushes the instant the
+  /// queue runs dry — the lowest-latency choice, but under a steady
+  /// trickle it fragments groups.
   double drain_grace_ms = 0.0;
-  /// Per-replica circuit breakers. exempt_origin is forced off — every
-  /// replica is individually breakable.
+  /// Per-replica circuit breakers. The pool sets exempt_origin itself:
+  /// off, so every replica is individually breakable — except in a pool of
+  /// one, whose only replica never trips.
   BreakerOptions breaker{};
   /// Crash tolerance bound: a request re-dispatched off dead replicas more
   /// than this many times resolves as kFailed instead of looping.
@@ -108,6 +118,11 @@ class ReplicaPool {
   /// stamped into each system (set_replica_id).
   ReplicaPool(std::vector<std::unique_ptr<MurmurationSystem>> replicas,
               ReplicaPoolOptions opts);
+
+  /// A pool of one over a caller-owned system, which must outlive the
+  /// pool (ServingLayer's single-system mode). The system becomes replica
+  /// 0; being the only replica, it is exempt from the replica breaker.
+  ReplicaPool(MurmurationSystem& system, ReplicaPoolOptions opts);
 
   /// Destruction drains: queued requests still resolve (routed, executed
   /// or terminally failed) before the router and workers join.
@@ -162,6 +177,8 @@ class ReplicaPool {
   // ---- Introspection ----------------------------------------------------
 
   std::size_t size() const;
+  /// Effective options (zero max_batch and negative windows normalized).
+  const ReplicaPoolOptions& options() const noexcept { return opts_; }
   /// The pool's SLO (the planner replica's system SLO); serving's
   /// SLO-less submit overload uses it.
   core::Slo slo() const;
@@ -200,8 +217,23 @@ class ReplicaPool {
   std::uint64_t unroutable_failures() const noexcept {
     return unroutable_failures_.load();
   }
+  /// Groups handed to execute_batch (a lone request is a group of one).
   std::uint64_t batches() const noexcept { return batches_.load(); }
+  /// Requests that rode along in a group (sum over groups of size - 1).
   std::uint64_t coalesced() const noexcept { return coalesced_.load(); }
+  /// Group closes by reason; every group counts under exactly one, so the
+  /// four sum to batches(). Full: the group hit max_batch. Window: the next
+  /// same-strategy entry lies past the sim-clock window. Key: the next
+  /// entry carries another strategy. Drain: the queue ran dry (after the
+  /// drain grace) or the replica stopped taking traffic.
+  std::uint64_t full_flushes() const noexcept { return full_flushes_.load(); }
+  std::uint64_t window_flushes() const noexcept {
+    return window_flushes_.load();
+  }
+  std::uint64_t key_flushes() const noexcept { return key_flushes_.load(); }
+  std::uint64_t drain_flushes() const noexcept {
+    return drain_flushes_.load();
+  }
   std::uint64_t joins() const noexcept { return joins_.load(); }
   std::uint64_t kills() const noexcept { return kills_.load(); }
   std::uint64_t drains() const noexcept { return drains_.load(); }
@@ -225,10 +257,17 @@ class ReplicaPool {
     PlannedRequest plan;
     DoneFn done;
     int redispatches = 0;
+    /// Wall clock (monotonic_ms) when the request joined the replica
+    /// queue: the worker charges the wait until its group starts to the
+    /// wall-side batch-window phase.
+    double enqueue_wall_ms = 0.0;
   };
   struct Replica {
     int id = 0;
-    std::unique_ptr<MurmurationSystem> system;
+    /// The replica's system; owned through `owned` unless the pool was
+    /// built over a caller-owned system.
+    MurmurationSystem* system = nullptr;
+    std::unique_ptr<MurmurationSystem> owned;
     std::atomic<ReplicaState> state{ReplicaState::kServing};
     std::atomic<std::uint64_t> affinity_key{0};
     std::atomic<int> load{0};
@@ -241,9 +280,20 @@ class ReplicaPool {
     std::thread worker;
   };
 
+  /// Register a replica in `state` under the next id and stamp the id into
+  /// its system. `owned` is null for a caller-owned system.
+  Replica* add_replica(MurmurationSystem& system,
+                       std::unique_ptr<MurmurationSystem> owned,
+                       ReplicaState state);
+  /// Normalize the options, then start one worker per seed replica and
+  /// the router.
+  void start();
   void router_loop();
   void route(PoolRequest req);
   void worker_loop(Replica& r);
+  /// Run one popped group on `r` and resolve it: done per member, or a
+  /// re-dispatch when the replica died mid-execution.
+  void execute_group(Replica& r, std::vector<Routed>& group);
   /// Requeue a request to the inbox for re-planning on a survivor, or
   /// terminally fail it when the bound is hit / the pool is stopping.
   void redispatch(Tensor image, RequestContext ctx, DoneFn done,
@@ -277,7 +327,8 @@ class ReplicaPool {
 
   std::atomic<std::uint64_t> planned_{0}, affinity_routed_{0},
       spill_routed_{0}, probe_routed_{0}, redispatched_{0},
-      unroutable_failures_{0}, batches_{0}, coalesced_{0}, joins_{0},
+      unroutable_failures_{0}, batches_{0}, coalesced_{0}, full_flushes_{0},
+      window_flushes_{0}, key_flushes_{0}, drain_flushes_{0}, joins_{0},
       kills_{0}, drains_{0};
 
   // Last member: joined before anything above is destroyed (the router

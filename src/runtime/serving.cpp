@@ -1,14 +1,15 @@
 #include "runtime/serving.h"
 
 #include <algorithm>
-#include <chrono>
+#include <cmath>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "common/log.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
-#include "runtime/replica_pool.h"
+#include "supernet/search_space.h"
 
 namespace murmur::runtime {
 
@@ -41,55 +42,51 @@ const char* to_string(ServeOutcome outcome) noexcept {
   return "unknown";
 }
 
-ServingLayer::ServingLayer(MurmurationSystem& system, ServingOptions opts)
-    : system_(&system),
-      opts_(opts),
-      ladder_(opts.ladder),
-      pool_(static_cast<std::size_t>(std::max(1, opts.workers)), "serving") {
-  if (opts_.queue_capacity == 0) opts_.queue_capacity = 1;
-  opts_.cold_start_latency_ms = std::max(0.0, opts_.cold_start_latency_ms);
-  if (opts_.max_batch == 0) opts_.max_batch = 1;
-  opts_.batch_window_ms = std::max(0.0, opts_.batch_window_ms);
-  opts_.drain_grace_ms = std::max(0.0, opts_.drain_grace_ms);
-  if (opts_.max_batch > 1)
-    dispatcher_ = std::thread([this] {
-      set_thread_name("serving/dispatcher");
-      dispatcher_loop();
-    });
+namespace {
+ServingOptions normalized(ServingOptions so) {
+  if (so.queue_capacity == 0) so.queue_capacity = 1;
+  so.cold_start_latency_ms = std::max(0.0, so.cold_start_latency_ms);
+  return so;
 }
+
+ReplicaPoolOptions pool_of_one(const ServingOptions& so) {
+  ReplicaPoolOptions po;
+  po.max_batch = so.max_batch;
+  po.batch_window_ms = so.batch_window_ms;
+  po.drain_grace_ms = so.drain_grace_ms;
+  return po;
+}
+
+/// Why a request cannot be served at all, or nullptr when it is well
+/// formed: the executor center-crops 1 x 3 x H x W inputs down to the
+/// planned resolution, which may be any of the supernet's resolutions.
+const char* malformed(const Tensor& image, double sim_arrival_ms,
+                      const core::Slo& slo) {
+  constexpr int kMinSide = std::ranges::max(supernet::kResolutions);
+  if (image.rank() != 4 || image.dim(0) != 1 || image.dim(1) != 3 ||
+      image.dim(2) < kMinSide || image.dim(3) < kMinSide)
+    return "image is not 1 x 3 x H x W at the largest resolution or above";
+  if (!std::isfinite(sim_arrival_ms)) return "non-finite arrival time";
+  if (!std::isfinite(slo.value) || slo.value <= 0.0)
+    return "SLO value is not finite and positive";
+  return nullptr;
+}
+}  // namespace
+
+ServingLayer::ServingLayer(MurmurationSystem& system, ServingOptions opts)
+    : owned_pool_(std::make_unique<ReplicaPool>(system, pool_of_one(opts))),
+      pool_(*owned_pool_),
+      opts_(normalized(opts)),
+      ladder_(opts.ladder) {}
 
 ServingLayer::ServingLayer(ReplicaPool& pool, ServingOptions opts)
-    : replica_pool_(&pool),
-      opts_(opts),
-      ladder_(opts.ladder),
-      // The pool routes and executes on its own threads; this layer's
-      // worker pool only resolves shed futures, so keep it minimal.
-      pool_(1, "serving") {
-  if (opts_.queue_capacity == 0) opts_.queue_capacity = 1;
-  opts_.cold_start_latency_ms = std::max(0.0, opts_.cold_start_latency_ms);
-  if (opts_.max_batch == 0) opts_.max_batch = 1;
-  // No dispatcher thread: strategy coalescing happens per replica inside
-  // the pool (affinity routing already converged same-key requests there).
-}
+    : pool_(pool), opts_(normalized(opts)), ladder_(opts.ladder) {}
 
 ServingLayer::~ServingLayer() {
-  if (replica_pool_) {
-    // Every pool done callback references `this`; wait until the last one
-    // has resolved its promise before members are torn down.
-    std::unique_lock lock(outstanding_mutex_);
-    outstanding_cv_.wait(lock, [&] { return outstanding_.load() == 0; });
-  }
-  if (dispatcher_.joinable()) {
-    {
-      std::lock_guard lock(dispatch_mutex_);
-      stop_ = true;
-    }
-    dispatch_cv_.notify_all();
-    // The dispatcher drains its queue and flushes any open group into the
-    // pool before exiting; the pool's own destructor then drains those
-    // executing groups, so every submitted future still resolves.
-    dispatcher_.join();
-  }
+  // Every pool done callback references `this`; wait until the last one
+  // has resolved its promise before members are torn down.
+  std::unique_lock lock(outstanding_mutex_);
+  outstanding_cv_.wait(lock, [&] { return outstanding_.load() == 0; });
 }
 
 double ServingLayer::latency_estimate_ms() const {
@@ -133,7 +130,7 @@ void ServingLayer::note_completion(double sim_latency_ms,
         ClassEstimate{slo, sim_latency_ms, sim_occupancy_ms});
   }
   if (obs::enabled())
-    obs::gauge_set("serving.batch.occupancy_ms", ewma_occupancy_ms_);
+    obs::gauge_set("serving.occupancy_ms", ewma_occupancy_ms_);
 }
 
 double ServingLayer::class_latency_estimate_ms(const core::Slo& slo) const {
@@ -172,15 +169,12 @@ ServingLayer::Admission ServingLayer::admit(double sim_arrival_ms,
   Admission a;
   a.seq = next_seq_++;
 
-  // Pool mode: effective capacity scales with the replicas the router can
-  // actually use, and a request is only hopeless when there are none.
-  std::size_t routable = 1;
-  if (replica_pool_) {
-    routable = replica_pool_->routable_count();
-    if (routable == 0) {
-      a.shed_reason = "no_healthy_replica";
-      return a;
-    }
+  // Effective capacity scales with the replicas the router can actually
+  // use, and a request is only hopeless when there are none.
+  const std::size_t routable = pool_.routable_count();
+  if (routable == 0) {
+    a.shed_reason = "no_healthy_replica";
+    return a;
   }
   const std::size_t capacity = opts_.queue_capacity * routable;
 
@@ -202,18 +196,13 @@ ServingLayer::Admission ServingLayer::admit(double sim_arrival_ms,
   // shed against the blend of the two.
   const auto [latency_est, occupancy_est] = class_estimates(slo);
   a.slo = slo;
-  if (replica_pool_) {
-    // Earliest start across the pool's per-replica reservation clocks.
-    // Admission is serialized on admission_mutex_ and nothing else touches
-    // the clocks, so the peek below and the reserve at the end agree.
-    const double est = replica_pool_->peek_earliest_start(sim_arrival_ms);
-    if (est < 0.0) {
-      a.shed_reason = "no_healthy_replica";
-      return a;
-    }
-    a.est_start_ms = est;
-  } else {
-    a.est_start_ms = std::max(sim_arrival_ms, busy_until_ms_);
+  // Earliest start across the pool's per-replica reservation clocks.
+  // Admission is serialized on admission_mutex_ and nothing else touches
+  // the clocks, so the peek below and the reserve at the end agree.
+  a.est_start_ms = pool_.peek_earliest_start(sim_arrival_ms);
+  if (a.est_start_ms < 0.0) {
+    a.shed_reason = "no_healthy_replica";
+    return a;
   }
   a.queue_wait_ms = a.est_start_ms - sim_arrival_ms;
 
@@ -233,7 +222,7 @@ ServingLayer::Admission ServingLayer::admit(double sim_arrival_ms,
   a.admit = true;
   a.rung = ladder_.rung_for(static_cast<double>(depth) /
                             static_cast<double>(capacity));
-  // Reserve the executor slot this request is estimated to occupy: the
+  // Reserve the replica slot this request is estimated to occupy: the
   // occupancy EWMA, which equals the latency EWMA under serial serving and
   // shrinks below it once fused batches amortize per-message delays — so
   // batching raises admissible sustained load without touching the
@@ -242,20 +231,48 @@ ServingLayer::Admission ServingLayer::admit(double sim_arrival_ms,
   // fills in_system_ and the queue_capacity bound holds from request zero.
   const double reserve_ms =
       occupancy_est > 0.0 ? occupancy_est : opts_.cold_start_latency_ms;
-  if (replica_pool_) {
-    replica_pool_->reserve(sim_arrival_ms, reserve_ms);
-    in_system_.push_back(a.est_start_ms + reserve_ms);
-  } else {
-    busy_until_ms_ = a.est_start_ms + reserve_ms;
-    in_system_.push_back(busy_until_ms_);
-  }
+  pool_.reserve(sim_arrival_ms, reserve_ms);
+  in_system_.push_back(a.est_start_ms + reserve_ms);
   return a;
 }
 
 std::future<ServeResult> ServingLayer::submit(const Tensor& image,
                                               double sim_arrival_ms) {
-  return submit(image, sim_arrival_ms,
-                system_ ? system_->slo() : replica_pool_->slo());
+  return submit(image, sim_arrival_ms, pool_.slo());
+}
+
+std::future<ServeResult> ServingLayer::reject(
+    const char* reason, double sim_arrival_ms,
+    std::optional<std::uint64_t> seq) {
+  ServeResult r;
+  r.outcome = ServeOutcome::kShed;
+  r.shed_reason = reason;
+  r.sim_start_ms = sim_arrival_ms;
+  if (std::strcmp(reason, "invalid_request") == 0)
+    shed_invalid_.fetch_add(1);
+  else if (std::strcmp(reason, "queue_full") == 0)
+    shed_queue_full_.fetch_add(1);
+  else if (std::strcmp(reason, "no_healthy_replica") == 0)
+    shed_no_replica_.fetch_add(1);
+  else
+    shed_infeasible_.fetch_add(1);
+  window_.record(/*slo_met=*/false, /*shed=*/true);
+  count(r.outcome);
+  if (obs::enabled()) {
+    if (seq) {
+      obs::FlightRecord fr;
+      fr.seq = *seq;
+      fr.outcome = obs::FlightOutcome::kShed;
+      fr.sim_arrival_ms = sim_arrival_ms;
+      fr.sim_start_ms = sim_arrival_ms;
+      fr.set_shed_reason(reason);
+      obs::FlightRecorder::instance().record(fr);
+    }
+    obs::gauge_set("serving.slo.shed_rate", window_.shed_rate());
+  }
+  std::promise<ServeResult> p;
+  p.set_value(std::move(r));
+  return p.get_future();
 }
 
 std::future<ServeResult> ServingLayer::submit(const Tensor& image,
@@ -263,35 +280,12 @@ std::future<ServeResult> ServingLayer::submit(const Tensor& image,
                                               const core::Slo& slo) {
   submitted_.fetch_add(1);
   if (obs::enabled()) obs::add("serving.submitted");
-  const Admission a = admit(sim_arrival_ms, slo);
-
-  if (!a.admit) {
-    ServeResult r;
-    r.outcome = ServeOutcome::kShed;
-    r.shed_reason = a.shed_reason;
-    r.sim_start_ms = sim_arrival_ms;
-    if (std::strcmp(a.shed_reason, "queue_full") == 0)
-      shed_queue_full_.fetch_add(1);
-    else if (std::strcmp(a.shed_reason, "no_healthy_replica") == 0)
-      shed_no_replica_.fetch_add(1);
-    else
-      shed_infeasible_.fetch_add(1);
-    window_.record(/*slo_met=*/false, /*shed=*/true);
-    count(r.outcome);
-    if (obs::enabled()) {
-      obs::FlightRecord fr;
-      fr.seq = a.seq;
-      fr.outcome = obs::FlightOutcome::kShed;
-      fr.sim_arrival_ms = sim_arrival_ms;
-      fr.sim_start_ms = sim_arrival_ms;
-      fr.set_shed_reason(a.shed_reason);
-      obs::FlightRecorder::instance().record(fr);
-      obs::gauge_set("serving.slo.shed_rate", window_.shed_rate());
-    }
-    std::promise<ServeResult> p;
-    p.set_value(std::move(r));
-    return p.get_future();
+  if (const char* why = malformed(image, sim_arrival_ms, slo)) {
+    MURMUR_LOG_DEBUG << "serving: invalid request: " << why;
+    return reject("invalid_request", sim_arrival_ms, std::nullopt);
   }
+  const Admission a = admit(sim_arrival_ms, slo);
+  if (!a.admit) return reject(a.shed_reason, sim_arrival_ms, a.seq);
 
   last_rung_.store(a.rung, std::memory_order_relaxed);
   RequestContext ctx;
@@ -301,41 +295,18 @@ std::future<ServeResult> ServingLayer::submit(const Tensor& image,
   ctx.queue_wait_ms = a.queue_wait_ms;
   ctx.seed = mix_seed(opts_.seed, a.seq);
 
-  if (replica_pool_) {
-    auto promise = std::make_shared<std::promise<ServeResult>>();
-    std::future<ServeResult> fut = promise->get_future();
-    outstanding_.fetch_add(1);
-    replica_pool_->submit(
-        image, ctx, [this, a, promise](ReplicaPool::Completion&& c) {
-          promise->set_value(
-              finalize(a, std::move(c.result), c.redispatches));
-          // Decrement under the mutex: the destructor's wait predicate
-          // must not observe zero (and tear members down) while this
-          // callback still has member accesses ahead of it.
-          std::lock_guard lock(outstanding_mutex_);
-          if (outstanding_.fetch_sub(1) == 1) outstanding_cv_.notify_all();
-        });
-    return fut;
-  }
-
-  if (opts_.max_batch > 1) {
-    Pending p;
-    p.image = image;
-    p.ctx = ctx;
-    p.adm = a;
-    p.enqueue_wall_ms = monotonic_ms();
-    std::future<ServeResult> fut = p.promise.get_future();
-    {
-      std::lock_guard lock(dispatch_mutex_);
-      dispatch_queue_.push_back(std::move(p));
-    }
-    dispatch_cv_.notify_one();
-    return fut;
-  }
-
-  return pool_.submit([this, image, ctx, a]() -> ServeResult {
-    return finalize(a, system_->infer(image, ctx));
+  auto promise = std::make_shared<std::promise<ServeResult>>();
+  std::future<ServeResult> fut = promise->get_future();
+  outstanding_.fetch_add(1);
+  pool_.submit(image, ctx, [this, a, promise](ReplicaPool::Completion&& c) {
+    promise->set_value(finalize(a, std::move(c.result), c.redispatches));
+    // Decrement under the mutex: the destructor's wait predicate must not
+    // observe zero (and tear members down) while this callback still has
+    // member accesses ahead of it.
+    std::lock_guard lock(outstanding_mutex_);
+    if (outstanding_.fetch_sub(1) == 1) outstanding_cv_.notify_all();
   });
+  return fut;
 }
 
 ServeResult ServingLayer::finalize(const Admission& a,
@@ -381,11 +352,11 @@ ServeResult ServingLayer::finalize(const Admission& a,
     fr.seq = a.seq;
     fr.strategy_key = r.inference.strategy_key;
     fr.device_mask = r.inference.device_mask;
-    // Pool mode surfaces the REPLICA board here (the per-replica device
-    // boards stay visible through each system's own breakers()).
-    fr.breaker_open_mask = replica_pool_
-                               ? replica_pool_->breakers().open_mask()
-                               : system_->breakers().open_mask();
+    // The device breakers of the replica that served the request (the
+    // replica board stays visible through the pool's breakers()).
+    if (const MurmurationSystem* served =
+            pool_.replica_system(r.inference.replica))
+      fr.breaker_open_mask = served->breakers().open_mask();
     fr.replica = static_cast<std::int16_t>(r.inference.replica);
     fr.sim_arrival_ms = a.est_start_ms - a.queue_wait_ms;
     fr.sim_start_ms = a.est_start_ms;
@@ -419,134 +390,10 @@ ServeResult ServingLayer::finalize(const Admission& a,
     fr.rung = static_cast<std::int16_t>(r.rung);
     fr.cache_hit = r.inference.cache_hit;
     fr.slo_met = r.inference.slo_met;
-    fr.batched = opts_.max_batch > 1;
+    fr.batched = pool_.options().max_batch > 1;
     obs::FlightRecorder::instance().record(fr);
   }
   return r;
-}
-
-void ServingLayer::dispatcher_loop() {
-  std::vector<Member> group;
-  double window_open_ms = 0.0;
-
-  const auto flush = [&](std::atomic<std::uint64_t>& reason,
-                         const char* reason_metric) {
-    if (group.empty()) return;
-    reason.fetch_add(1);
-    batches_.fetch_add(1);
-    batched_requests_.fetch_add(group.size());
-    coalesced_.fetch_add(group.size() - 1);
-    if (obs::enabled()) {
-      obs::observe("serving.batch.size", static_cast<double>(group.size()));
-      obs::add("serving.batch.batches");
-      if (group.size() > 1)
-        obs::add("serving.batch.coalesced", group.size() - 1);
-      obs::add(reason_metric);
-    }
-    pool_.submit(
-        [this, g = std::move(group)]() mutable { execute_group(std::move(g)); });
-    group.clear();  // moved-from: make the empty state explicit
-  };
-
-  for (;;) {
-    Pending p;
-    {
-      std::unique_lock lock(dispatch_mutex_);
-      if (dispatch_queue_.empty() && !stop_) {
-        // Drain grace: with an open, non-full group, wait a beat for more
-        // arrivals before giving up on coalescing — a steady trickle of
-        // submissions would otherwise fragment every group the instant the
-        // queue momentarily runs dry.
-        if (!group.empty() && opts_.drain_grace_ms > 0.0 &&
-            group.size() < opts_.max_batch) {
-          dispatch_cv_.wait_for(
-              lock, std::chrono::duration<double, std::milli>(
-                        opts_.drain_grace_ms),
-              [&] { return stop_ || !dispatch_queue_.empty(); });
-        }
-        if (dispatch_queue_.empty() && !stop_) {
-          // Idle flush: nothing left to coalesce with, so an open group
-          // runs now rather than waiting out its window — light load pays
-          // no added batching latency.
-          if (!group.empty()) {
-            lock.unlock();
-            flush(drain_flushes_, "serving.batch.flush.drain");
-            lock.lock();
-          }
-          dispatch_cv_.wait(lock,
-                            [&] { return stop_ || !dispatch_queue_.empty(); });
-        }
-      }
-      if (dispatch_queue_.empty()) break;  // stop requested and fully drained
-      p = std::move(dispatch_queue_.front());
-      dispatch_queue_.pop_front();
-    }
-
-    // Plan in submission (= admission) order: the monitor/decision pipeline
-    // sees the same request sequence as single-worker serial serving.
-    PlannedRequest plan = system_->plan_request(p.ctx);
-    if (plan.failed_fast) {
-      p.promise.set_value(finalize(p.adm, std::move(plan.result)));
-      continue;
-    }
-
-    if (!group.empty()) {
-      const PlannedRequest& head = group.front().plan;
-      // The fingerprint is the fast path; equality of the actual strategy
-      // is what execute_batch requires, so verify it outright.
-      const bool same_strategy =
-          plan.strategy_key == head.strategy_key &&
-          plan.result.decision.strategy.config ==
-              head.result.decision.strategy.config &&
-          plan.result.decision.strategy.plan ==
-              head.result.decision.strategy.plan;
-      if (!same_strategy)
-        flush(key_flushes_, "serving.batch.flush.key");
-      else if (plan.ctx.sim_now_ms > window_open_ms + opts_.batch_window_ms)
-        flush(window_flushes_, "serving.batch.flush.window");
-    }
-    if (group.empty()) window_open_ms = plan.ctx.sim_now_ms;
-    group.push_back(Member{std::move(p), std::move(plan)});
-    if (group.size() >= opts_.max_batch)
-      flush(full_flushes_, "serving.batch.flush.full");
-  }
-  flush(drain_flushes_, "serving.batch.flush.drain");
-}
-
-void ServingLayer::execute_group(std::vector<Member> group) {
-  std::vector<Tensor> images;
-  std::vector<PlannedRequest> batch;
-  images.reserve(group.size());
-  batch.reserve(group.size());
-  for (Member& m : group) {
-    images.push_back(std::move(m.pending.image));
-    batch.push_back(std::move(m.plan));
-  }
-  const double exec_start_wall_ms = monotonic_ms();
-  system_->execute_batch(images, batch);
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    // Wall-side batching-window phase: how long this member sat parked in
-    // the dispatcher between enqueue and the moment the batch *started*
-    // executing. The group's execution span is already attributed once,
-    // through each member's exec_wall_ms share — charging completion-time
-    // deltas here would bill that span to every member again (the
-    // (n-1)/n-inflated 288 ms p50 PR 6's attribution table surfaced). The
-    // sim clock charges nothing by construction (occupancy amortizes
-    // coalescing); this wall-only phase explains the batching latency
-    // trade (BENCH_serving.json sim/wall gap).
-    if (obs::enabled()) {
-      const double parked_ms = std::max(
-          0.0, exec_start_wall_ms - group[i].pending.enqueue_wall_ms);
-      batch[i].result.ledger.charge_wall(obs::Phase::kBatchWindow,
-                                         parked_ms);
-      // note_request already aggregated this request's ledger inside
-      // execute_batch, before the group-level wait was known — feed the
-      // late wall-only phase to its histogram directly.
-      obs::observe("attrib.wall.batch_window", parked_ms);
-    }
-    group[i].pending.promise.set_value(
-        finalize(group[i].pending.adm, std::move(batch[i].result)));
-  }
 }
 
 }  // namespace murmur::runtime

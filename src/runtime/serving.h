@@ -1,50 +1,49 @@
-// Concurrent, self-protecting serving layer on top of MurmurationSystem
-// (DESIGN.md §5.9).
+// Concurrent, self-protecting serving layer (DESIGN.md §5.9): admission
+// control in front of a ReplicaPool. A single system is served as a pool
+// of one, so every admitted request takes the same path — the pool's
+// router plans it in submission order and a replica worker executes it,
+// coalesced with same-strategy neighbours (DESIGN.md §5.10, §5.13).
 //
-// A bounded admission queue fronts a worker pool. At submit time — before
-// any work is spent — the layer estimates where the request would start on
-// the simulated clock (a serial busy-until model: execution is serialized
-// on the single resident supernet) and what it would cost (an EWMA of
-// observed sim latencies). Requests the estimate says cannot possibly meet
-// their SLO, and requests arriving to a full queue, are shed immediately.
-// Between "fine" and "shed" sits the graceful-degradation ladder: rising
-// queue pressure tightens the SLO the decision module plans against, so
-// the policy picks cheaper submodels and the system sheds load by serving
-// worse before it sheds load by serving nothing.
+// At submit time — before any work is spent — the layer rejects malformed
+// requests, then estimates where the request would start on the simulated
+// clock (the pool's per-replica busy-until reservation clocks: execution
+// is serialized on each replica's single resident supernet) and what it
+// would cost (an EWMA of observed sim latencies). Requests the estimate
+// says cannot possibly meet their SLO, and requests arriving to a full
+// queue, are shed immediately. Between "fine" and "shed" sits the
+// graceful-degradation ladder: rising queue pressure tightens the SLO the
+// decision module plans against, so the policy picks cheaper submodels and
+// the system sheds load by serving worse before it sheds load by serving
+// nothing.
 //
 // Admission bookkeeping runs entirely on the simulated clock and is
 // updated sequentially under the admission mutex, so for a fixed arrival
 // sequence the admit/degrade/shed decisions are deterministic regardless
-// of worker interleaving.
-//
-// Strategy-coalesced batching (DESIGN.md §5.10): with max_batch > 1 a
-// dispatcher thread plans admitted requests in submission order and groups
-// consecutive requests whose decisions resolve to the same strategy
-// (config + placement plan) into micro-batches. Each group reconfigures
-// the resident supernet once and runs the executor's fused batch path;
-// SLO judgment and outcomes stay strictly per-request.
+// of thread interleaving. SLO judgment and outcomes stay strictly
+// per-request, whatever group a request executed in.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <future>
+#include <memory>
 #include <mutex>
-#include <thread>
+#include <optional>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/decision.h"
 #include "obs/attrib.h"
+#include "runtime/replica_pool.h"
 #include "runtime/system.h"
 
 namespace murmur::runtime {
 
-class ReplicaPool;
-
 struct ServingOptions {
-  /// Worker threads driving concurrent infer() calls.
+  /// No effect: the pool behind the layer runs one router plus one worker
+  /// per replica, and each replica executes one group at a time anyway.
+  /// Kept only because the perfbench deployment still sets it; the next
+  /// change to the benchmark should drop it.
   int workers = 4;
   /// Maximum requests in the system (queued + executing) on the simulated
   /// clock; arrivals beyond this are shed with reason "queue_full".
@@ -62,22 +61,14 @@ struct ServingOptions {
   double cold_start_latency_ms = 50.0;
   /// Base for per-request RNG streams.
   std::uint64_t seed = 2024;
-  /// Upper bound on strategy-coalesced micro-batch size. 1 (default)
-  /// serves every request individually on the worker pool — the exact
-  /// pre-batching pipeline. > 1 routes admitted requests through the
-  /// dispatcher thread (see batching note atop this file).
+  /// Coalescing of the single-system constructor's pool of one; the
+  /// ReplicaPool constructor uses the pool's own options instead. See
+  /// ReplicaPoolOptions for each field. max_batch 1 (default) executes
+  /// every request as a group of one.
   std::size_t max_batch = 1;
-  /// Sim-clock width of an open batch group: a newly planned request whose
-  /// estimated start lies more than this past the group's first member
-  /// flushes the group first (bounds added batching latency on the sim
-  /// clock; the group also flushes when full or when the dispatcher runs
-  /// dry, so light load pays no window wait at all).
   double batch_window_ms = 25.0;
-  /// Wall-clock grace (ms) the dispatcher waits for further arrivals
-  /// before drain-flushing an open, non-full group. 0 (default) flushes
-  /// the instant the queue runs dry — the lowest-latency choice, but under
-  /// a steady trickle it fragments groups; throughput-oriented deployments
-  /// (the serving bench, murmurctl overload) set a few milliseconds.
+  /// Throughput-oriented deployments (the serving bench, murmurctl
+  /// overload) set a few milliseconds.
   double drain_grace_ms = 0.0;
 };
 
@@ -86,7 +77,7 @@ struct ServingOptions {
 enum class ServeOutcome {
   kCompleted,  // served within the honest SLO, at the honest rung
   kDegraded,   // served, but at a degraded rung or past the SLO
-  kShed,       // rejected at admission (queue full / deadline infeasible)
+  kShed,       // rejected at submit (invalid / queue full / infeasible)
   kFailed,     // accepted but unservable (e.g. local device down)
 };
 
@@ -112,20 +103,20 @@ struct ServeResult {
 
 class ServingLayer {
  public:
+  /// Serve one caller-owned system (which must outlive this layer) through
+  /// a pool of one that this layer owns, coalescing per opts.max_batch /
+  /// batch_window_ms / drain_grace_ms. The system is stamped replica 0.
   ServingLayer(MurmurationSystem& system, ServingOptions opts);
 
-  /// Pool mode (DESIGN.md §5.13): admission fronts a ReplicaPool instead
-  /// of one system. Occupancy is reserved against the pool's per-replica
-  /// clocks, queue capacity scales with the routable-replica count, and a
-  /// request is shed with "no_healthy_replica" only when the pool has
-  /// nobody to route to. Coalescing happens per replica inside the pool
-  /// (the pool's own max_batch), so this layer's dispatcher stays off;
-  /// opts.max_batch should mirror the pool's for honest `batched` flags.
-  /// The pool must outlive this layer.
+  /// Pool mode (DESIGN.md §5.13): admission fronts a caller-owned
+  /// ReplicaPool, which must outlive this layer. Queue capacity scales
+  /// with the routable-replica count, and a request is shed with
+  /// "no_healthy_replica" only when the pool has nobody to route to.
+  /// Coalescing follows the pool's own options.
   ServingLayer(ReplicaPool& pool, ServingOptions opts);
 
-  /// Destruction drains: queued requests still run to completion (the
-  /// dispatcher flushes open groups before the worker pool joins).
+  /// Destruction drains: every submitted future resolves before the layer
+  /// (and an owned pool) goes away.
   ~ServingLayer();
 
   ServingLayer(const ServingLayer&) = delete;
@@ -133,7 +124,11 @@ class ServingLayer {
 
   /// Submit one request arriving at `sim_arrival_ms` under the system SLO.
   /// Always returns a future that resolves to exactly one ServeOutcome;
-  /// shed requests resolve immediately without touching the pipeline.
+  /// shed requests resolve immediately without touching the pipeline. A
+  /// malformed request — image not 1 x 3 x H x W with H, W >= the largest
+  /// supernet resolution, non-finite arrival, or an SLO value that is not
+  /// finite and positive — is shed with "invalid_request" before
+  /// admission: it reserves nothing and takes no sequence number.
   std::future<ServeResult> submit(const Tensor& image, double sim_arrival_ms);
 
   /// Same, with a per-request SLO.
@@ -168,39 +163,38 @@ class ServingLayer {
 
   const ServingOptions& options() const noexcept { return opts_; }
 
-  // Batching statistics (all zero when max_batch == 1).
-  /// Micro-batches executed (groups handed to execute_batch).
-  std::uint64_t batches() const noexcept { return batches_.load(); }
-  /// Requests served through the batched path.
+  // Batching statistics: the pool's counters (a lone request is a group
+  // of one, so with max_batch == 1 batches() counts executed requests).
+  /// Groups handed to execute_batch.
+  std::uint64_t batches() const noexcept { return pool_.batches(); }
+  /// Requests executed in those groups.
   std::uint64_t batched_requests() const noexcept {
-    return batched_requests_.load();
+    return pool_.batches() + pool_.coalesced();
   }
-  /// Requests that rode along in a batch (sum over batches of size - 1):
+  /// Requests that rode along in a group (sum over groups of size - 1):
   /// each saved a supernet reconfiguration and a standalone executor run.
-  std::uint64_t coalesced() const noexcept { return coalesced_.load(); }
-  /// Group flushes because the group hit max_batch.
-  std::uint64_t full_flushes() const noexcept { return full_flushes_.load(); }
-  /// Group flushes because the sim-clock batching window closed.
+  std::uint64_t coalesced() const noexcept { return pool_.coalesced(); }
+  /// Group closes by reason (see ReplicaPool); they sum to batches().
+  std::uint64_t full_flushes() const noexcept { return pool_.full_flushes(); }
   std::uint64_t window_flushes() const noexcept {
-    return window_flushes_.load();
+    return pool_.window_flushes();
   }
-  /// Group flushes because the next request resolved to a new strategy.
-  std::uint64_t key_flushes() const noexcept { return key_flushes_.load(); }
-  /// Group flushes because the dispatcher ran out of queued requests.
+  std::uint64_t key_flushes() const noexcept { return pool_.key_flushes(); }
   std::uint64_t drain_flushes() const noexcept {
-    return drain_flushes_.load();
+    return pool_.drain_flushes();
   }
 
   // Observability plane (DESIGN.md §5.11).
-  /// Sheds by reason (queue_full + deadline_infeasible + no_healthy_replica
-  /// == shed()).
+  /// Sheds by reason (invalid_request + queue_full + deadline_infeasible +
+  /// no_healthy_replica == shed()).
+  std::uint64_t shed_invalid() const noexcept { return shed_invalid_.load(); }
   std::uint64_t shed_queue_full() const noexcept {
     return shed_queue_full_.load();
   }
   std::uint64_t shed_infeasible() const noexcept {
     return shed_infeasible_.load();
   }
-  /// Sheds because no replica was routable (pool mode only).
+  /// Sheds because no replica was routable.
   std::uint64_t shed_no_replica() const noexcept {
     return shed_no_replica_.load();
   }
@@ -240,22 +234,6 @@ class ServingLayer {
     double occupancy_ms = 0.0;
   };
 
-  /// An admitted request parked on the dispatcher queue (batching path).
-  struct Pending {
-    Tensor image;
-    RequestContext ctx;
-    Admission adm;
-    std::promise<ServeResult> promise;
-    /// Wall clock at enqueue (monotonic_ms): execute_group charges the
-    /// elapsed coalescing delay to the wall-side batch-window phase.
-    double enqueue_wall_ms = 0.0;
-  };
-  /// A planned group member awaiting execution.
-  struct Member {
-    Pending pending;
-    PlannedRequest plan;
-  };
-
   /// Sim-clock admission decision; sequential under admission_mutex_.
   Admission admit(double sim_arrival_ms, const core::Slo& slo);
   void note_completion(double sim_latency_ms, double sim_occupancy_ms,
@@ -264,23 +242,23 @@ class ServingLayer {
   /// has not completed a request yet. Returns {latency, occupancy}.
   std::pair<double, double> class_estimates(const core::Slo& slo) const;
   void count(ServeOutcome outcome);
+  /// Resolve a request shed before it reached the pool. `seq` is its
+  /// admission sequence number; a request rejected before admission has
+  /// none and leaves no flight record (records are keyed by seq).
+  std::future<ServeResult> reject(const char* reason, double sim_arrival_ms,
+                                  std::optional<std::uint64_t> seq);
   /// Map a finished pipeline result to the caller-facing ServeResult:
   /// outcome mapping, EWMA update, lifetime counters, per-request metrics.
-  /// Shared by the serial worker path, the batched path and the pool done
-  /// callback; `redispatches > 0` (a request re-dispatched off a dead
-  /// replica) forces at least kDegraded.
+  /// Runs in the pool's done callback; `redispatches > 0` (a request
+  /// re-dispatched off a dead replica) forces at least kDegraded.
   ServeResult finalize(const Admission& a, InferenceResult&& inference,
-                       int redispatches = 0);
-  /// Dispatcher thread body: plan in submission order, coalesce by
-  /// strategy, flush on full/window/key-change/drain.
-  void dispatcher_loop();
-  /// Run one coalesced group on a pool worker and resolve its promises.
-  void execute_group(std::vector<Member> group);
+                       int redispatches);
 
-  /// Exactly one of these is set; system_ drives the serial and batched
-  /// single-system paths, replica_pool_ the pool mode.
-  MurmurationSystem* system_ = nullptr;
-  ReplicaPool* replica_pool_ = nullptr;
+  /// Set by the single-system constructor only. First member on purpose:
+  /// destroyed last, after the destructor body has waited out every done
+  /// callback, so the pool's idle threads join once nothing can call back.
+  std::unique_ptr<ReplicaPool> owned_pool_;
+  ReplicaPool& pool_;
   ServingOptions opts_;
   core::DegradationLadder ladder_;
 
@@ -288,7 +266,6 @@ class ServingLayer {
   // est_finish sim-times of admitted requests; entries <= the next arrival
   // are retired at its admission. Size == sim-clock queue depth.
   std::vector<double> in_system_;
-  double busy_until_ms_ = 0.0;  // serial-execution reservation clock
   std::uint64_t next_seq_ = 0;
 
   mutable std::mutex estimate_mutex_;
@@ -299,34 +276,17 @@ class ServingLayer {
 
   std::atomic<std::uint64_t> submitted_{0}, completed_{0}, degraded_{0},
       shed_{0}, failed_{0};
-  std::atomic<std::uint64_t> batches_{0}, batched_requests_{0}, coalesced_{0},
-      full_flushes_{0}, window_flushes_{0}, key_flushes_{0}, drain_flushes_{0};
-  std::atomic<std::uint64_t> shed_queue_full_{0}, shed_infeasible_{0},
-      shed_no_replica_{0};
+  std::atomic<std::uint64_t> shed_invalid_{0}, shed_queue_full_{0},
+      shed_infeasible_{0}, shed_no_replica_{0};
   std::atomic<int> last_rung_{0};
-  /// Pool-mode requests whose done callback has not fired yet; the
-  /// destructor waits for zero so no callback touches a dead `this`.
+  /// Requests whose done callback has not fired yet; the destructor waits
+  /// for zero so no callback touches a dead `this`.
   std::atomic<std::uint64_t> outstanding_{0};
   std::mutex outstanding_mutex_;
   std::condition_variable outstanding_cv_;
   /// Rolling SLO/shed window; internally mutex-protected (finalize runs on
   /// pool workers concurrently).
   obs::RollingOutcomeWindow window_{512};
-
-  // Dispatcher state (batching path only; untouched when max_batch == 1).
-  std::mutex dispatch_mutex_;
-  std::condition_variable dispatch_cv_;
-  std::deque<Pending> dispatch_queue_;
-  bool stop_ = false;
-
-  // Last members on purpose: members are destroyed in reverse declaration
-  // order, so the pool's destructor — which drains the queue and joins
-  // workers whose tasks still call note_completion() and count() — runs
-  // while the mutexes, admission state, and counters above are alive. The
-  // ~ServingLayer body joins dispatcher_ (after flushing open groups into
-  // the pool) before any member is destroyed.
-  ThreadPool pool_;
-  std::thread dispatcher_;
 };
 
 }  // namespace murmur::runtime

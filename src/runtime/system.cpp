@@ -1,6 +1,5 @@
 #include "runtime/system.h"
 
-#include <cassert>
 #include <chrono>
 #include <stdexcept>
 #include <string>
@@ -19,9 +18,15 @@ double elapsed_ms(std::chrono::steady_clock::time_point t0) {
 }
 
 Tensor center_crop(const Tensor& image, int size) {
-  assert(image.rank() == 4);
+  if (image.rank() != 4)
+    throw std::invalid_argument("center_crop: image of rank " +
+                                std::to_string(image.rank()) + ", want 4");
   if (image.dim(2) == size && image.dim(3) == size) return image;
-  assert(image.dim(2) >= size && image.dim(3) >= size);
+  if (image.dim(2) < size || image.dim(3) < size)
+    throw std::invalid_argument(
+        "center_crop: " + std::to_string(image.dim(2)) + " x " +
+        std::to_string(image.dim(3)) + " image is smaller than the " +
+        std::to_string(size) + " x " + std::to_string(size) + " crop");
   const int h0 = (image.dim(2) - size) / 2;
   const int w0 = (image.dim(3) - size) / 2;
   return image.crop(h0, w0, size, size);

@@ -8,13 +8,15 @@
 // switches the resident supernet; and the Scheduler/Executor runs the
 // partitioned inference across the simulated devices.
 //
-// Concurrency (DESIGN.md §5.9): infer(image, RequestContext) is safe to
-// call from multiple serving workers at once. The strategy cache takes
-// concurrent lookups lock-free of the rest of the pipeline; monitoring +
-// RL decision serialize on a decision mutex (the env re-applies conditions
-// to a shared network model per evaluation); model switch + distributed
-// execution serialize on an execution mutex (one resident supernet).
-// Workers therefore pipeline: one request plans while another executes.
+// Concurrency (DESIGN.md §5.9): infer(image, RequestContext),
+// plan_request and execute_batch are safe to call from several threads at
+// once. The strategy cache takes concurrent lookups lock-free of the rest
+// of the pipeline; monitoring + RL decision serialize on a decision mutex
+// (the env re-applies conditions to a shared network model per
+// evaluation); model switch + distributed execution serialize on an
+// execution mutex (one resident supernet). Serving therefore pipelines:
+// the replica pool's router plans one request while a worker executes
+// another group.
 #pragma once
 
 #include <atomic>
@@ -131,18 +133,19 @@ struct InferenceResult {
   /// flows into flight records and the adapter's live trajectories).
   rl::ConstraintPoint constraint;
   /// Coalescing fingerprint of the executed strategy (copied from the
-  /// plan so single-result callers — the serving serial path — see it).
+  /// plan so single-result callers see it).
   std::uint64_t strategy_key = 0;
   /// Bit d set: device d participated in the executed plan.
   std::uint64_t device_mask = 0;
-  /// Pool replica that executed the request; -1 outside a replica pool.
+  /// Pool replica that executed the request: 0 under a single-system
+  /// ServingLayer (a pool of one); -1 for a system never put in a pool.
   int replica = -1;
 };
 
 /// A request that has run the planning half of the pipeline (health mask,
 /// monitoring, decision, precompute, pre-dispatch re-planning) but not yet
-/// executed. The serving layer groups planned requests by `strategy_key`
-/// and hands same-strategy groups to execute_batch (DESIGN.md §5.10).
+/// executed. Replica-pool workers group planned requests by `strategy_key`
+/// and hand same-strategy groups to execute_batch (DESIGN.md §5.10).
 struct PlannedRequest {
   RequestContext ctx;
   /// Decision/cache/health fields are filled by plan_request; the
@@ -204,7 +207,7 @@ class MurmurationSystem {
 
   /// Execution half: run planned requests as ONE strategy-coalesced batch.
   /// Every non-failed member must carry the same strategy (config + plan);
-  /// the serving layer guarantees this by grouping on strategy_key and
+  /// the replica pool guarantees this by grouping on strategy_key and
   /// verifying equality. Throws std::invalid_argument, before any side
   /// effect, if it does not or if images and batch differ in size. Reconfigures the supernet once (the first live
   /// member's result carries the measured switch wall time, the rest 0),

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/linreg.h"
+#include "common/log.h"
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "common/stats.h"
@@ -214,6 +215,17 @@ TEST(ThreadPool, PropagatesException) {
   ThreadPool pool(1);
   auto fut = pool.submit([]() -> int { throw std::runtime_error("boom"); });
   EXPECT_THROW(fut.get(), std::runtime_error);
+}
+
+TEST(ThreadPool, EveryWorkerIsNamedWhenTheConstructorReturns) {
+  // A trace exported right after construction must label every worker,
+  // not only those the scheduler happened to start first.
+  ThreadPool pool(4, "namedpool");
+  std::set<std::string> names;
+  for (const auto& [tid, name] : thread_names()) names.insert(name);
+  for (int k = 0; k < 4; ++k)
+    EXPECT_TRUE(names.count("namedpool/w" + std::to_string(k)))
+        << "namedpool/w" << k;
 }
 
 // -------------------------------------------------------------- linreg ----

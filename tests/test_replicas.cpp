@@ -393,6 +393,32 @@ TEST(ReplicaChaos, AllReplicasDeadFailsTerminallyInsteadOfHanging) {
   EXPECT_GE(pool.unroutable_failures(), 1u);
 }
 
+TEST(ReplicaChaos, ThrowingGroupFailsItsMembersAndWorkerKeepsServing) {
+  // Declared before the pool, so they outlive its worker threads.
+  std::atomic<int> calls{0};
+  std::promise<ReplicaPool::Completion> bad_done;
+  ReplicaPool pool(make_replicas(1), ReplicaPoolOptions{});
+  // Two images in one tensor plan fine but execute_batch rejects them: the
+  // request must resolve kFailed exactly once instead of taking the
+  // worker thread (and the process) down.
+  Rng rng(71);
+  const Tensor pair = Tensor::randn({2, 3, 224, 224}, rng, 0.0f, 0.5f);
+  pool.submit(pair, make_ctx(100.0, 9), [&](ReplicaPool::Completion&& c) {
+    if (calls.fetch_add(1) == 0) bad_done.set_value(std::move(c));
+  });
+  const auto bad = bad_done.get_future().get();
+  EXPECT_EQ(bad.result.outcome, runtime::RequestOutcome::kFailed);
+  EXPECT_FALSE(bad.result.slo_met);
+  EXPECT_EQ(bad.replica, 0);
+
+  const auto good = submit_sync(pool, test_image(72), make_ctx(200.0, 10));
+  EXPECT_NE(good.result.outcome, runtime::RequestOutcome::kFailed);
+  EXPECT_EQ(good.replica, 0);
+  EXPECT_EQ(calls.load(), 1);
+  EXPECT_EQ(pool.state(0), ReplicaState::kServing);
+  EXPECT_EQ(pool.batches(), 2u);
+}
+
 // --------------------------------------------------- pool-mode admission ---
 
 TEST(ReplicaAdmission, QueueCapacityScalesWithRoutableReplicas) {

@@ -7,7 +7,9 @@
 #include <atomic>
 #include <cmath>
 #include <future>
+#include <limits>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/decision.h"
@@ -15,6 +17,7 @@
 #include "core/training.h"
 #include "netsim/faults.h"
 #include "netsim/scenario.h"
+#include "obs/flight.h"
 #include "obs/metrics.h"
 #include "partition/plan.h"
 #include "runtime/breaker.h"
@@ -522,6 +525,129 @@ TEST(ServingAdmission, PerSloClassEstimatesTrackEachClassSeparately) {
   }
   EXPECT_NEAR(serving.class_latency_estimate_ms(tight), expect_tight, 1e-9);
   EXPECT_DOUBLE_EQ(serving.class_latency_estimate_ms(loose), l1);
+}
+
+TEST(ServingAdmission, MalformedRequestsShedAsInvalidBeforeAdmission) {
+  obs::set_enabled(true);
+  obs::FlightRecorder::instance().reset();
+  auto system = runtime::MurmurationSystem(
+      tiny_artifacts(netsim::Scenario::kAugmentedComputing),
+      tiny_system_opts());
+  runtime::ServingOptions so;
+  so.queue_capacity = 4;
+  runtime::ServingLayer serving(system, so);
+  const Tensor good = test_image(60);
+  const core::Slo slo = system.slo();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(61);
+  struct Bad {
+    Tensor image;
+    double arrival_ms;
+    core::Slo slo;
+    const char* what;
+  };
+  const std::vector<Bad> bad = {
+      {Tensor::randn({1, 3, 100, 100}, rng, 0.0f, 0.5f), 10.0, slo,
+       "smaller than the largest resolution"},
+      {Tensor::randn({1, 3, 224, 160}, rng, 0.0f, 0.5f), 10.0, slo,
+       "narrower than the largest resolution"},
+      {Tensor::randn({2, 3, 224, 224}, rng, 0.0f, 0.5f), 10.0, slo,
+       "two images"},
+      {Tensor::randn({1, 1, 224, 224}, rng, 0.0f, 0.5f), 10.0, slo,
+       "one channel"},
+      {Tensor::randn({3, 224, 224}, rng, 0.0f, 0.5f), 10.0, slo, "rank 3"},
+      {good, nan, slo, "NaN arrival"},
+      {good, inf, slo, "infinite arrival"},
+      {good, 10.0, core::Slo::latency_ms(0.0), "zero SLO"},
+      {good, 10.0, core::Slo::latency_ms(-5.0), "negative SLO"},
+      {good, 10.0, core::Slo::latency_ms(nan), "NaN SLO"},
+      {good, 10.0, core::Slo::latency_ms(inf), "infinite SLO"},
+  };
+  for (const Bad& b : bad) {
+    const auto r = serving.submit(b.image, b.arrival_ms, b.slo).get();
+    EXPECT_EQ(r.outcome, ServeOutcome::kShed) << b.what;
+    EXPECT_STREQ(r.shed_reason, "invalid_request") << b.what;
+  }
+  const auto n_bad = static_cast<std::uint64_t>(bad.size());
+  EXPECT_EQ(serving.submitted(), n_bad);
+  EXPECT_EQ(serving.shed(), n_bad);
+  EXPECT_EQ(serving.shed_invalid(), n_bad);
+  EXPECT_EQ(serving.shed_invalid() + serving.shed_queue_full() +
+                serving.shed_infeasible() + serving.shed_no_replica(),
+            serving.shed());
+
+  // The rejects reserved nothing (no queue wait at the same arrival) and
+  // took no sequence number (the first admitted request is seq 0).
+  const auto ok = serving.submit(good, 10.0, slo).get();
+  EXPECT_NE(ok.outcome, ServeOutcome::kShed);
+  EXPECT_NE(ok.outcome, ServeOutcome::kFailed);
+  EXPECT_DOUBLE_EQ(ok.queue_wait_ms, 0.0);
+  const auto records = obs::FlightRecorder::instance().snapshot();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records.front().seq, 0u);
+  EXPECT_EQ(serving.submitted(), n_bad + 1);
+  EXPECT_EQ(serving.completed() + serving.degraded() + serving.shed() +
+                serving.failed(),
+            serving.submitted());
+  obs::set_enabled(false);
+}
+
+TEST(ServingDeterminism, SingleSystemServingIsReproducible) {
+  // One router plans every request in submission order, however many
+  // workers the options ask for, so two fresh deployments fed the same
+  // sequence serve it identically. As in a drifting deployment, the link
+  // changes between drained epochs of 8 in-flight requests: the monitor's
+  // smoothed estimate, and with it each request's constraint, depends on
+  // the request's position in the planning order. SLOs spread over the
+  // env's range make the memo miss and the policy run. Arrivals 10 s apart
+  // keep admission out of the way (no queue wait, rung 0), and a near-zero
+  // deepest-rung factor keeps the deadline check from shedding on
+  // whichever completions happened to land first.
+  using Row = std::tuple<ServeOutcome, std::uint64_t, double, int, double>;
+  const auto run = [] {
+    auto art = tiny_artifacts(netsim::Scenario::kAugmentedComputing);
+    const core::EnvOptions eo = art.env->options();
+    auto sys_opts = tiny_system_opts();
+    sys_opts.use_predictor = true;
+    auto system = runtime::MurmurationSystem(std::move(art), sys_opts);
+    runtime::ServingOptions so;
+    so.workers = 4;
+    so.max_batch = 1;
+    so.queue_capacity = 64;
+    so.seed = 43;
+    so.ladder.min_factor = 1e-3;
+    runtime::ServingLayer serving(system, so);
+    const Tensor img = test_image(62);
+    constexpr int kEpochs = 6, kPerEpoch = 8, kRequests = kEpochs * kPerEpoch;
+    constexpr double kMbps[kEpochs] = {20.0, 150.0, 40.0, 400.0, 10.0, 80.0};
+    std::vector<Row> rows;
+    for (int e = 0; e < kEpochs; ++e) {
+      netsim::shape_remotes(system.network(), Bandwidth::from_mbps(kMbps[e]),
+                            Delay::from_ms(10.0 + 5.0 * e));
+      std::vector<std::future<runtime::ServeResult>> futs;
+      for (int k = 0; k < kPerEpoch; ++k) {
+        const int i = e * kPerEpoch + k;
+        const double stratum = ((i * 13) % kRequests + 0.5) / kRequests;
+        const double slo_ms = eo.slo_min + (eo.slo_max - eo.slo_min) * stratum;
+        futs.push_back(serving.submit(img, 10'000.0 * i,
+                                      core::Slo::latency_ms(slo_ms)));
+      }
+      for (auto& f : futs) {
+        const auto r = f.get();
+        rows.emplace_back(r.outcome, r.inference.strategy_key,
+                          r.inference.sim_latency_ms, r.rung, r.queue_wait_ms);
+      }
+    }
+    EXPECT_GT(system.cache().lookups(), system.cache().hits())
+        << "every plan hit the memo: the policy never ran";
+    return rows;
+  };
+  const auto first = run();
+  const auto second = run();
+  ASSERT_EQ(first.size(), second.size());
+  for (std::size_t i = 0; i < first.size(); ++i)
+    EXPECT_EQ(first[i], second[i]) << "request " << i;
 }
 
 TEST(ServingAdmission, CacheHitRequalifiedAgainstTighterSameBucketSlo) {

@@ -13,7 +13,7 @@
 //                      p50/p90/p99 latencies and cache behaviour; optionally
 //                      export a chrome://tracing span trace and a metrics
 //                      JSON snapshot)
-//   murmurctl overload [--requests N] [--spacing MS] [--workers N]
+//   murmurctl overload [--requests N] [--spacing MS]
 //                    [--queue N] [--rungs N] [--chaos 0|1] [--scenario ...]
 //                    [--slo V] [--seed N] [--batch N] [--window MS]
 //                    [--drain-grace MS] [--replicas N] [--kill-at I]
@@ -375,7 +375,6 @@ BurstRig make_burst_rig(const Args& args) {
   Rng img_rng(rig.seed ^ 0x0eedu);
   rig.image = Tensor::randn({1, 3, 224, 224}, img_rng, 0.0f, 0.5f);
 
-  rig.serve_opts.workers = static_cast<int>(args.num("workers", 4));
   rig.serve_opts.queue_capacity =
       static_cast<std::size_t>(args.num("queue", 16));
   rig.serve_opts.ladder.rungs = static_cast<int>(args.num("rungs", 3));
@@ -597,10 +596,10 @@ int cmd_overload(const Args& args) {
     max_wait = std::max(max_wait, r.queue_wait_ms);
   }
 
-  std::printf("%d requests, spacing %.1f ms sim, SLO %s, %d workers, "
-              "queue %zu, %d replica(s)\n",
+  std::printf("%d requests, spacing %.1f ms sim, SLO %s, queue %zu, "
+              "%d replica(s)\n",
               requests, spacing, rig.slo.to_string().c_str(),
-              serve_opts.workers, serve_opts.queue_capacity, rig.replicas);
+              serve_opts.queue_capacity, rig.replicas);
   Table t({"outcome", "count", "share"});
   for (int o = 0; o < 4; ++o)
     t.new_row()
