@@ -360,8 +360,9 @@ double MurmurationEnv::accuracy_of(const supernet::SubnetConfig& config) const {
 
 Outcome MurmurationEnv::evaluate_strategy(const ConstraintPoint& c,
                                           const Strategy& s) const {
-  network_.apply(conditions(c));
-  const partition::SubnetLatencyEvaluator eval(network_);
+  netsim::Network net = network_;
+  net.apply(conditions(c));
+  const partition::SubnetLatencyEvaluator eval(net);
   Outcome o;
   o.latency_ms = eval.latency_ms(s.config, s.plan);
   o.accuracy = accuracy_of(s.config);

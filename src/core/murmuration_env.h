@@ -94,7 +94,9 @@ class MurmurationEnv final : public rl::Env {
   double slo_value(const rl::ConstraintPoint& c) const;
   netsim::NetworkConditions conditions(const rl::ConstraintPoint& c) const;
 
-  /// Outcome of a concrete strategy under a constraint point.
+  /// Outcome of a concrete strategy under a constraint point: a pure
+  /// function of (strategy, constraint), evaluated on a local copy of the
+  /// network with conditions(c) applied, so concurrent callers need no lock.
   rl::Outcome evaluate_strategy(const rl::ConstraintPoint& c,
                                 const Strategy& s) const;
 
@@ -103,9 +105,9 @@ class MurmurationEnv final : public rl::Env {
   const EnvOptions& options() const noexcept { return opts_; }
   const netsim::Network& network() const noexcept { return network_; }
   /// Mutable access for deployment-time link shaping (tc-style, e.g.
-  /// netsim::shape_remotes) before a runtime system starts monitoring.
-  /// Evaluations re-apply constraint conditions on top, so this sets the
-  /// state monitors probe, not a permanent floor.
+  /// netsim::shape_remotes) before a runtime system copies the network.
+  /// Evaluations never read these links (each applies its constraint's
+  /// conditions to a copy), so this sets the state monitors probe only.
   netsim::Network& mutable_network() noexcept { return network_; }
   std::size_t num_devices() const noexcept { return network_.num_devices(); }
   /// Latency of the max submodel fully local (reward normalizer).
@@ -124,7 +126,7 @@ class MurmurationEnv final : public rl::Env {
   double norm_delay(double ms) const noexcept;
   double denorm_delay(double coord) const noexcept;
 
-  mutable netsim::Network network_;  // conditions re-applied per evaluation
+  netsim::Network network_;  // scenario devices + deployment link shaping
   EnvOptions opts_;
   const supernet::AccuracyPredictor* predictor_ = nullptr;
   double ref_latency_ms_ = 0.0;

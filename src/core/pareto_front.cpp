@@ -278,7 +278,7 @@ std::unique_ptr<ParetoFrontIndex> ParetoFrontIndex::deserialize(
 // ---- FrontBuilder ----------------------------------------------------------
 
 FrontBuilder::FrontBuilder(const MurmurationEnv& env, FrontBuilderOptions opts)
-    : env_(env.network(), env.options()), opts_(opts) {}
+    : env_(env), opts_(opts) {}
 
 rl::ConstraintPoint FrontBuilder::corner_constraint(const FrontKey& key,
                                                     double slo_coord) const {

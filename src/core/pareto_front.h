@@ -162,8 +162,8 @@ struct FrontBuilderOptions {
   std::uint64_t seed = 1234;
 };
 
-/// Offline front enumeration. Owns a private env clone: `evaluate` applies
-/// conditions to the env's network, so the serving env is never touched.
+/// Offline front enumeration. Holds the env by reference (it must outlive
+/// the builder); evaluation is pure, so building shares the serving env.
 /// Per-bucket candidate streams are seeded as seed ^ hash(key): building a
 /// bucket is deterministic regardless of build order or bucket set.
 class FrontBuilder {
@@ -189,14 +189,12 @@ class FrontBuilder {
   rl::ConstraintPoint corner_constraint(const FrontKey& key,
                                         double slo_coord) const;
 
-  const MurmurationEnv& env() const noexcept { return env_; }
-
  private:
   void offer(ParetoFrontIndex& idx, const FrontKey& key,
              const rl::ConstraintPoint& corner,
              std::span<const int> actions) const;
 
-  mutable MurmurationEnv env_;  // private clone; evaluate mutates network
+  const MurmurationEnv& env_;
   FrontBuilderOptions opts_;
 };
 

@@ -67,7 +67,7 @@ class ResidualCusum {
 
 /// Per-device drift detection over the monitor's bandwidth and delay
 /// forecast residuals. Not internally synchronized: the runtime feeds it
-/// under its decision mutex (the same lock that already serializes the
+/// under its monitor mutex (the same lock that already serializes the
 /// monitor it watches).
 class DriftDetector {
  public:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -59,15 +60,18 @@ LatencyBreakdown SubnetLatencyEvaluator::evaluate_batch(
     phases->device_compute_ms.assign(n_dev, 0.0);
   }
 
+  // Labels are only materialized for an attached timeline: the decision
+  // path evaluates thousands of strategies without one.
   auto charge_transfer = [&](int src, int dst, double bytes, double start,
-                             const std::string& label) {
+                             std::string_view label) {
     if (src == dst || bytes <= 0.0) return 0.0;
     const double t = network_.transfer_ms(static_cast<std::size_t>(src),
                                           static_cast<std::size_t>(dst), bytes);
     out.comm_ms += t;
     ++out.messages;
     out.bytes_moved += static_cast<std::size_t>(bytes);
-    if (timeline) timeline->add_transfer(src, dst, start, start + t, label);
+    if (timeline)
+      timeline->add_transfer(src, dst, start, start + t, std::string(label));
     return t;
   };
 
@@ -145,7 +149,8 @@ LatencyBreakdown SubnetLatencyEvaluator::evaluate_batch(
     for (std::size_t t = 0; t < in_extents.size(); ++t) {
       const int dev = plan.device[static_cast<std::size_t>(b)][t];
       const std::string label =
-          "b" + std::to_string(b) + "/t" + std::to_string(t);
+          timeline ? "b" + std::to_string(b) + "/t" + std::to_string(t)
+                   : std::string();
       // Gather every overlapping region of the previous layout.
       double arrival = 0.0;
       Vec arrival_vec;

@@ -63,12 +63,17 @@ bool BucketedReplayTree::insert(ReplayEntry entry) {
 
 const BucketedReplayTree::Bucket* BucketedReplayTree::resolve(
     const BucketKey& k) const {
-  if (memo_version_ != version_) {
-    memo_.clear();
-    memo_version_ = version_;
+  {
+    std::lock_guard lock(memo_mutex_);
+    if (memo_version_ != version_) {
+      memo_.clear();
+      memo_version_ = version_;
+    }
+    if (const auto it = memo_.find(k); it != memo_.end()) return it->second;
   }
-  if (const auto it = memo_.find(k); it != memo_.end()) return it->second;
 
+  // Buckets are immutable while readers share the tree, so the sharing
+  // scan runs outside the lock; a racing reader computes the same answer.
   const Bucket* result = nullptr;
   if (const auto it = buckets_.find(k); it != buckets_.end() &&
                                         !it->second.queue.empty()) {
@@ -92,6 +97,7 @@ const BucketedReplayTree::Bucket* BucketedReplayTree::resolve(
       }
     }
   }
+  std::lock_guard lock(memo_mutex_);
   memo_.emplace(k, result);
   return result;
 }

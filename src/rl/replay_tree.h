@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -105,9 +106,9 @@ class BucketedReplayTree {
   std::vector<const ReplayEntry*> all_entries() const;
 
   /// Deep copy rebuilt entry by entry (the sharing memo holds raw bucket
-  /// pointers, so there is no copy constructor). `queue_size` overrides the
-  /// clone's per-bucket depth; 0 keeps this tree's. Used by the online
-  /// adapter's trainer-private stores and the Pareto-front refiner.
+  /// pointers and a lock, so there is no copy constructor). `queue_size`
+  /// overrides the clone's per-bucket depth; 0 keeps this tree's. Used by
+  /// the online adapter's trainer-private stores.
   std::unique_ptr<BucketedReplayTree> clone(std::size_t queue_size = 0) const;
 
  private:
@@ -123,9 +124,12 @@ class BucketedReplayTree {
   std::size_t queue_size_;
   std::unordered_map<BucketKey, Bucket, BucketKeyHash> buckets_;
   std::size_t entries_ = 0;
-  // Sharing-lookup memo, invalidated by any mutation.
+  std::uint64_t version_ = 0;  // bumped by every mutation
+  // Sharing-lookup memo, invalidated by any mutation. Const readers fill
+  // it, and serving threads share one tree, so it has its own lock.
+  mutable std::mutex memo_mutex_;
   mutable std::unordered_map<BucketKey, const Bucket*, BucketKeyHash> memo_;
-  mutable std::uint64_t version_ = 0, memo_version_ = ~0ull;
+  mutable std::uint64_t memo_version_ = ~0ull;
 };
 
 }  // namespace murmur::rl

@@ -25,15 +25,13 @@ OnlineAdapter::OnlineAdapter(const core::MurmurationEnv& env,
                              const rl::PolicyNetwork& frozen_policy,
                              const rl::BucketedReplayTree* frozen_replay,
                              AdaptOptions opts)
-    : shadow_env_(env.network(), env.options()),
+    : env_(env),
       opts_(opts),
       calib_(env.num_devices(), opts.calib_alpha),
       trainer_rng_(opts.seed),
       drift_(env.num_devices(), opts.drift) {
   working_policy_ = clone_policy(frozen_policy);
   working_replay_ = clone_replay(frozen_replay);
-  incumbent_policy_ = clone_policy(frozen_policy);
-  incumbent_replay_ = clone_replay(frozen_replay);
   incumbent_bytes_ = frozen_policy.serialize();
 
   // Snapshot 0: the frozen policy itself, so current() is never null and
@@ -52,12 +50,12 @@ std::unique_ptr<rl::PolicyNetwork> OnlineAdapter::clone_policy(
   std::array<int, rl::kNumHeads> heads{};
   for (int h = 0; h < rl::kNumHeads; ++h)
     heads[static_cast<std::size_t>(h)] =
-        shadow_env_.head_options(static_cast<rl::Head>(h));
+        env_.head_options(static_cast<rl::Head>(h));
   rl::PolicyOptions po;
   po.hidden = src.hidden_dim();
   po.seed = opts_.seed;
-  auto clone = std::make_unique<rl::PolicyNetwork>(shadow_env_.feature_dim(),
-                                                   heads, po);
+  auto clone =
+      std::make_unique<rl::PolicyNetwork>(env_.feature_dim(), heads, po);
   const bool ok = clone->deserialize(src.serialize());
   (void)ok;  // same architecture by construction
   return clone;
@@ -67,8 +65,7 @@ std::unique_ptr<rl::BucketedReplayTree> OnlineAdapter::clone_replay(
     const rl::BucketedReplayTree* src) const {
   if (src) return src->clone(opts_.bucket_queue);
   return std::make_unique<rl::BucketedReplayTree>(
-      shadow_env_.constraint_dims(), shadow_env_.grid_points(),
-      opts_.bucket_queue);
+      env_.constraint_dims(), env_.grid_points(), opts_.bucket_queue);
 }
 
 void OnlineAdapter::observe_outcome(const ServingSample& sample) {
@@ -99,8 +96,7 @@ bool OnlineAdapter::observe_network(std::size_t device, double forecast_bw_mbps,
 
 std::vector<rl::ConstraintPoint> OnlineAdapter::guard_points() const {
   std::vector<rl::ConstraintPoint> points;
-  const std::size_t dims =
-      static_cast<std::size_t>(shadow_env_.constraint_dims());
+  const std::size_t dims = static_cast<std::size_t>(env_.constraint_dims());
   // Flight records carry the planning constraint of every recent request
   // (newest last in the snapshot); the adapter's own window covers
   // deployments running with telemetry off.
@@ -133,7 +129,7 @@ double OnlineAdapter::shadow_compliance(
   // Both sides of a guardrail comparison run through here with the same
   // points, the same seed and the same calibration, so the comparison is
   // apples-to-apples even while the model itself is biased.
-  core::DecisionEngine engine(shadow_env_, policy, replay, &calib_);
+  core::DecisionEngine engine(env_, policy, replay, &calib_);
   Rng rng(opts_.seed);
   std::size_t met = 0;
   for (const rl::ConstraintPoint& c : points)
@@ -151,7 +147,9 @@ SnapshotVerdict OnlineAdapter::offer_candidate(
     roll_back_working();
     return SnapshotVerdict::kRejectedChecksum;
   }
-  auto candidate = clone_policy(*incumbent_policy_);
+  // Only the trainer publishes, so current() is the incumbent here.
+  const PolicySnapshot* incumbent = current();
+  auto candidate = clone_policy(incumbent->policy());
   if (!candidate->deserialize(*payload)) {
     rejected_checksum_.fetch_add(1, std::memory_order_relaxed);
     obs::add("adapt.snapshots.rejected_checksum");
@@ -168,7 +166,7 @@ SnapshotVerdict OnlineAdapter::offer_candidate(
   } else {
     const double cand = shadow_compliance(*candidate, replay.get(), points);
     const double inc =
-        shadow_compliance(*incumbent_policy_, incumbent_replay_.get(), points);
+        shadow_compliance(incumbent->policy(), incumbent->replay(), points);
     obs::gauge_set("adapt.guard.candidate_compliance", cand);
     obs::gauge_set("adapt.guard.incumbent_compliance", inc);
     if (cand + opts_.guard_epsilon < inc) {
@@ -185,8 +183,6 @@ SnapshotVerdict OnlineAdapter::offer_candidate(
   snap->policy_ = std::move(candidate);
   snap->replay_ = std::move(replay);
 
-  incumbent_policy_ = clone_policy(snap->policy());
-  incumbent_replay_ = clone_replay(snap->replay());
   incumbent_bytes_ = *payload;
 
   const std::uint64_t id = snap->id_;
@@ -242,8 +238,8 @@ bool OnlineAdapter::run_cycle() {
     rl::ReplayEntry e;
     e.actions = s.actions;
     e.outcome = observed;
-    e.tight = shadow_env_.relabel(s.constraint, observed);
-    e.reward = shadow_env_.reward(e.tight, observed);
+    e.tight = env_.relabel(s.constraint, observed);
+    e.reward = env_.reward(e.tight, observed);
     if (e.reward > 0.0 && working_replay_->insert(std::move(e))) ++inserted;
   }
   if (inserted > 0) obs::add("adapt.replay.inserted", inserted);
@@ -257,7 +253,7 @@ bool OnlineAdapter::run_cycle() {
       if (const rl::ReplayEntry* e = working_replay_->random_entry(trainer_rng_))
         b.emplace_back(e->tight, &e->actions);
     if (b.empty()) break;
-    rl::GcslTrainer::imitation_update(shadow_env_, *working_policy_, b);
+    rl::GcslTrainer::imitation_update(env_, *working_policy_, b);
   }
 
   // 3. Frame, guard, publish. offer_candidate rolls the working policy

@@ -15,7 +15,7 @@
 //     checksummed MCKF container (common/serialize.h), and offers it for
 //     publication. Publication validates the checksum bit-for-bit, then
 //     shadow-replays recent constraints (flight records + the adapter's own
-//     sample window) under the candidate and under a private twin of the
+//     sample window) under the candidate and under the published
 //     incumbent; a candidate that loses more than `guard_epsilon`
 //     compliance is rejected and the working policy rolls back to the
 //     incumbent. Accepted candidates become immutable PolicySnapshots
@@ -36,11 +36,11 @@
 //     clamps (the bench_regime_shift failure mode).
 //
 // Threading: observe_network is documented to run under the caller's
-// decision mutex (the drift detector is not internally synchronized);
+// monitor mutex (the drift detector is not internally synchronized);
 // observe_outcome is safe from any completion thread (queue mutex +
 // atomics); run_cycle runs on the background thread (or is driven manually
-// in tests) and touches only trainer-private state — a private shadow env
-// clone keeps its evaluations off the serving env entirely.
+// in tests) and touches only trainer-private state plus the shared env,
+// whose evaluations are pure and so need no lock.
 #pragma once
 
 #include <atomic>
@@ -86,9 +86,9 @@ struct AdaptOptions {
   std::uint64_t seed = 7777;
 };
 
-/// Immutable published policy state. Never mutated after publication; the
-/// replay tree's lookup memo is only touched by decision-path readers,
-/// which the owning system serializes on its decision mutex.
+/// Immutable published policy state. Never mutated after publication;
+/// concurrent decision-path readers share the replay tree, whose lookup
+/// memo guards itself.
 class PolicySnapshot {
  public:
   std::uint64_t id() const noexcept { return id_; }
@@ -144,8 +144,8 @@ class OnlineAdapter {
   };
 
   /// `frozen_policy` / `frozen_replay` seed snapshot 0 (cloned; the
-  /// originals are not retained). `env` is cloned into a trainer-private
-  /// shadow env, so the adapter never evaluates on the serving env.
+  /// originals are not retained). `env` is held by reference and must
+  /// outlive the adapter; shadow replays and relabels evaluate on it.
   OnlineAdapter(const core::MurmurationEnv& env,
                 const rl::PolicyNetwork& frozen_policy,
                 const rl::BucketedReplayTree* frozen_replay,
@@ -173,7 +173,7 @@ class OnlineAdapter {
   /// Decision-path drift feed: one (forecast, probe) residual pair for a
   /// remote device. Returns true when the CUSUM fires — the caller should
   /// re-fit its monitor and purge strategies touching the device. NOT
-  /// internally synchronized: call under the owning decision mutex.
+  /// internally synchronized: call under the owning monitor mutex.
   bool observe_network(std::size_t device, double forecast_bw_mbps,
                        double sampled_bw_mbps, double forecast_delay_ms,
                        double sampled_delay_ms);
@@ -204,17 +204,14 @@ class OnlineAdapter {
   void stop();   // join it (idempotent; also called by the destructor)
 
   Stats stats() const noexcept;
-  const core::MurmurationEnv& shadow_env() const noexcept {
-    return shadow_env_;
-  }
 
  private:
   std::unique_ptr<rl::PolicyNetwork> clone_policy(
       const rl::PolicyNetwork& src) const;
   std::unique_ptr<rl::BucketedReplayTree> clone_replay(
       const rl::BucketedReplayTree* src) const;
-  /// Compliance of `policy`+`replay` over `points` (greedy decisions on
-  /// the shadow env, SLO-satisfaction fraction).
+  /// Compliance of `policy`+`replay` over `points` (greedy decisions,
+  /// SLO-satisfaction fraction).
   double shadow_compliance(const rl::PolicyNetwork& policy,
                            const rl::BucketedReplayTree* replay,
                            std::span<const rl::ConstraintPoint> points);
@@ -224,17 +221,13 @@ class OnlineAdapter {
   void publish_metrics() const;
   void trainer_main();
 
-  core::MurmurationEnv shadow_env_;  // trainer-private evaluation env
+  const core::MurmurationEnv& env_;
   AdaptOptions opts_;
   core::LatencyCalibration calib_;
 
   // --- trainer-private state (touched only by run_cycle's thread) --------
   std::unique_ptr<rl::PolicyNetwork> working_policy_;
   std::unique_ptr<rl::BucketedReplayTree> working_replay_;
-  /// Twin of the published snapshot, evaluated guardrail-side so the
-  /// trainer never touches the published replay tree's lookup memo.
-  std::unique_ptr<rl::PolicyNetwork> incumbent_policy_;
-  std::unique_ptr<rl::BucketedReplayTree> incumbent_replay_;
   std::vector<std::uint8_t> incumbent_bytes_;  // rollback source
   Rng trainer_rng_;
 

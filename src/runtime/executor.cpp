@@ -27,13 +27,12 @@ TileExtent intersect(const TileExtent& a, const TileExtent& b) {
           std::min(a.w0 + a.w, b.w0 + b.w) - w0};
 }
 
-/// Paste the intersection of `src` (at extent se) into `dst` (at extent de).
-/// Rows of the overlap are contiguous in both tensors, so each copies with
-/// one memcpy instead of per-element at() walks.
-void paste_overlap(const Tensor& src, const TileExtent& se, Tensor& dst,
-                   const TileExtent& de) {
-  const TileExtent o = intersect(se, de);
-  if (o.h <= 0 || o.w <= 0) return;  // disjoint
+/// Paste region `o` from `src` (holding extent se) into `dst` (holding
+/// extent de); `o` must lie inside both extents. Rows of the region are
+/// contiguous in both tensors, so each copies with one memcpy instead of
+/// per-element at() walks.
+void paste_region(const Tensor& src, const TileExtent& se, Tensor& dst,
+                  const TileExtent& de, const TileExtent& o) {
   const std::size_t sw = static_cast<std::size_t>(src.dim(3));
   const std::size_t dw = static_cast<std::size_t>(dst.dim(3));
   const std::size_t splane = static_cast<std::size_t>(src.dim(2)) * sw;
@@ -312,11 +311,13 @@ std::vector<ExecutionReport> DistributedExecutor::walk(
     supernet_.prepare_block(b);
 
     // Determine the tile layout actually executable for this tensor.
+    // `current` holds the full map: every piece reads it at full-map
+    // coordinates.
     const bool tiled = supernet_.block_can_partition(b, current);
+    const TileExtent full{0, 0, current.dim(2), current.dim(3)};
     const auto extents =
         tiled ? tile_extents(current.dim(2), current.dim(3), bc.grid)
-              : std::vector<TileExtent>{
-                    TileExtent{0, 0, current.dim(2), current.dim(3)}};
+              : std::vector<TileExtent>{full};
     if (tiled) ++common.partitioned_blocks;
     auto& row = plan.device[static_cast<std::size_t>(b)];
     const auto tile_dev = [&](std::size_t t) -> int {
@@ -348,11 +349,10 @@ std::vector<ExecutionReport> DistributedExecutor::walk(
         const auto& de = extents[t];
         Tensor input({current.dim(0), current.dim(1), de.h, de.w});
         for (std::size_t p = 0; p < pieces.size(); ++p) {
-          const auto& se = pieces[p].extent;
-          const TileExtent o = intersect(se, de);
+          const TileExtent o = intersect(pieces[p].extent, de);
           if (o.h <= 0 || o.w <= 0) continue;
           if (pieces[p].device == dev) {
-            paste_overlap(current, se, input, de);
+            paste_region(current, full, input, de, o);
             continue;
           }
           const double deadline_ms = inj ? recv_deadline.get() : 0.0;
@@ -370,10 +370,10 @@ std::vector<ExecutionReport> DistributedExecutor::walk(
                               static_cast<std::size_t>(pieces[p].device),
                               static_cast<std::size_t>(dev), bytes),
                       pieces[p].device, dev);
-            paste_overlap(current, se, input, de);
+            paste_region(current, full, input, de, o);
             continue;
           }
-          paste_overlap(*got, o, input, de);
+          paste_region(*got, o, input, de, o);
         }
         outputs[t] = forward_members(input, [&](const Tensor& x) {
           return supernet_.forward_block_tile(b, x);
@@ -401,22 +401,26 @@ std::vector<ExecutionReport> DistributedExecutor::walk(
     for (auto& f : tile_futs) f.wait();
     for (auto& f : tile_futs) f.get();
 
-    // Merge outputs into the next full map and update ownership.
-    const auto geo = supernet::CostModel::block_geometry(config, b);
-    std::vector<Piece> next_pieces;
-    std::vector<TileExtent> out_extents;
-    next_pieces.reserve(extents.size());
-    out_extents.reserve(extents.size());
-    for (std::size_t t = 0; t < extents.size(); ++t) {
-      const TileExtent oe{extents[t].h0 / geo.stride, extents[t].w0 / geo.stride,
-                          extents[t].h / geo.stride, extents[t].w / geo.stride};
-      out_extents.push_back(oe);
-      next_pieces.push_back(Piece{oe, tile_dev(t)});
+    // Merge outputs into the next full map and update ownership. An
+    // untiled block keeps the conv's own output map (an odd map into a
+    // stride-2 block rounds up); tiled extents divide exactly by the
+    // stride, which can_partition guarantees.
+    pieces.clear();
+    if (tiled) {
+      const int s = supernet::CostModel::block_geometry(config, b).stride;
+      std::vector<TileExtent> out_extents;
+      for (std::size_t t = 0; t < extents.size(); ++t) {
+        const auto& e = extents[t];
+        out_extents.push_back({e.h0 / s, e.w0 / s, e.h / s, e.w / s});
+        pieces.push_back(Piece{out_extents.back(), tile_dev(t)});
+      }
+      current = merge_tiles(outputs, out_extents, outputs.front().dim(1),
+                            current.dim(2) / s, current.dim(3) / s);
+    } else {
+      current = std::move(outputs.front());
+      pieces.push_back(Piece{TileExtent{0, 0, current.dim(2), current.dim(3)},
+                             tile_dev(0)});
     }
-    current = merge_tiles(outputs, out_extents, outputs.front().dim(1),
-                          current.dim(2) / geo.stride,
-                          current.dim(3) / geo.stride);
-    pieces = std::move(next_pieces);
     prev_quant = bc.quant;
 
     // Advance the request's simulated clock past this block (first-order:
@@ -456,8 +460,8 @@ std::vector<ExecutionReport> DistributedExecutor::walk(
         fall_back(arrival - sim_now + slack_ms, pieces[p].device, head_dev);
         continue;
       }
-      paste_overlap(*back, se, current,
-                    TileExtent{0, 0, current.dim(2), current.dim(3)});
+      paste_region(*back, se, current,
+                   TileExtent{0, 0, current.dim(2), current.dim(3)}, se);
     }
     logits = forward_members(
         current, [&](const Tensor& x) { return supernet_.forward_head(x); });

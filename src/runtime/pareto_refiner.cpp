@@ -1,34 +1,12 @@
 #include "runtime/pareto_refiner.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 
 #include "common/serialize.h"
 #include "obs/metrics.h"
 
 namespace murmur::runtime {
-
-namespace {
-
-std::unique_ptr<rl::PolicyNetwork> clone_policy(
-    const core::MurmurationEnv& env, const rl::PolicyNetwork& src,
-    std::uint64_t seed) {
-  std::array<int, rl::kNumHeads> heads{};
-  for (int h = 0; h < rl::kNumHeads; ++h)
-    heads[static_cast<std::size_t>(h)] =
-        env.head_options(static_cast<rl::Head>(h));
-  rl::PolicyOptions po;
-  po.hidden = src.hidden_dim();
-  po.seed = seed;
-  auto clone =
-      std::make_unique<rl::PolicyNetwork>(env.feature_dim(), heads, po);
-  const bool ok = clone->deserialize(src.serialize());
-  (void)ok;  // same architecture by construction
-  return clone;
-}
-
-}  // namespace
 
 FrontRefiner::FrontRefiner(const core::MurmurationEnv& env,
                            const rl::PolicyNetwork& policy,
@@ -38,8 +16,8 @@ FrontRefiner::FrontRefiner(const core::MurmurationEnv& env,
     : builder_(env, opts.builder),
       cache_(cache),
       opts_(opts),
-      policy_(clone_policy(builder_.env(), policy, opts.builder.seed)),
-      replay_(replay ? replay->clone() : nullptr),
+      policy_(policy),
+      replay_(replay),
       keyer_(env.constraint_dims() - 1, env.grid_points()) {}
 
 FrontRefiner::~FrontRefiner() { stop(); }
@@ -71,9 +49,9 @@ bool FrontRefiner::run_cycle() {
   if (!incumbent) {
     // Seed build: the full replay-derived index, plus whatever buckets
     // serving already asked for.
-    next = builder_.build_all(replay_.get(), policy_.get());
+    next = builder_.build_all(replay_, &policy_);
     for (const core::FrontKey& k : todo)
-      builder_.build_bucket(*next, k, replay_.get(), policy_.get());
+      builder_.build_bucket(*next, k, replay_, &policy_);
     buckets_built_.fetch_add(next->num_buckets(), std::memory_order_relaxed);
   } else {
     if (todo.empty()) return false;
@@ -85,7 +63,7 @@ bool FrontRefiner::run_cycle() {
     for (const auto& [key, front] : incumbent->fronts())
       next->front_for(key) = front;
     for (const core::FrontKey& k : todo)
-      builder_.build_bucket(*next, k, replay_.get(), policy_.get());
+      builder_.build_bucket(*next, k, replay_, &policy_);
     buckets_built_.fetch_add(todo.size(), std::memory_order_relaxed);
   }
 

@@ -6,18 +6,19 @@
 //     bucket key (bounded, deduplicated) via request(); decisions fall
 //     through to the policy path meanwhile.
 //   * Each cycle drains the pending buckets, rebuilds them with the
-//     FrontBuilder on refiner-private clones (env, policy, replay — the
-//     same isolation discipline as OnlineAdapter's trainer), copies the
-//     incumbent index's untouched buckets, and publishes the result as an
-//     MCKF checked frame through StrategyCache::offer_front_frame — the
-//     identical guarded-snapshot path policy snapshots take, so a corrupt
-//     frame can never install.
+//     FrontBuilder over the serving env, policy and replay store (all
+//     read-only: evaluation is pure and the replay tree's sharing memo
+//     guards itself), copies the incumbent index's untouched buckets, and
+//     publishes the result as an MCKF checked frame through
+//     StrategyCache::offer_front_frame — the identical guarded-snapshot
+//     path policy snapshots take, so a corrupt frame can never install.
 //   * The first cycle with an empty cache seed-builds the full index from
 //     the replay tree (FrontBuilder::build_all).
 //
 // Threading: request() is safe from any serving worker; run_cycle() runs on
 // the background thread (or synchronously in tests) and touches only
-// refiner-private state plus the cache's thread-safe front API.
+// refiner-private state, the read-only inputs and the cache's thread-safe
+// front API.
 #pragma once
 
 #include <atomic>
@@ -54,9 +55,8 @@ class FrontRefiner {
     std::uint64_t requests_dropped = 0;
   };
 
-  /// `policy` / `replay` are cloned (originals not retained); `env` is
-  /// cloned into the builder's private evaluation env. `cache` is the
-  /// publication target and must outlive the refiner.
+  /// `env`, `policy`, `replay` (may be null) and `cache`, the publication
+  /// target, are held by reference and must outlive the refiner.
   FrontRefiner(const core::MurmurationEnv& env,
                const rl::PolicyNetwork& policy,
                const rl::BucketedReplayTree* replay,
@@ -85,11 +85,11 @@ class FrontRefiner {
  private:
   void refiner_main();
 
-  core::FrontBuilder builder_;  // owns the private evaluation env
+  core::FrontBuilder builder_;
   core::StrategyCache& cache_;
   FrontRefinerOptions opts_;
-  std::unique_ptr<rl::PolicyNetwork> policy_;
-  std::unique_ptr<rl::BucketedReplayTree> replay_;
+  const rl::PolicyNetwork& policy_;
+  const rl::BucketedReplayTree* replay_;
   /// Keyer for request(): quantizes constraints without touching any index.
   core::ParetoFrontIndex keyer_;
 

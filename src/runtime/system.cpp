@@ -132,9 +132,9 @@ core::Decision MurmurationSystem::decide(const rl::ConstraintPoint& c,
       if (obs::enabled()) obs::add("cache.requalified");
     }
     // Tier 2 (DESIGN.md §5.15): a precomputed Pareto front answers the SLO
-    // query by binary search — no rollout, no store sweep, and no decision
-    // mutex. Hits are memoized into tier 1 so bucket-mates skip even the
-    // front search. Inert until an index is installed.
+    // query by binary search — no rollout and no store sweep. Hits are
+    // memoized into tier 1 so bucket-mates skip even the front search.
+    // Inert until an index is installed.
     if (auto fd = cache_.front_query(c, calib)) {
       *cache_hit = true;
       if (obs::enabled()) obs::add("decision.front_hit");
@@ -149,23 +149,20 @@ core::Decision MurmurationSystem::decide(const rl::ConstraintPoint& c,
     }
   }
   *cache_hit = false;
+  // The policy path takes no lock: evaluation is a pure function of
+  // (strategy, constraint), so concurrent planners decide independently.
   core::Decision d;
-  {
-    // The RL engine's evaluations re-apply conditions to the env's shared
-    // network model; serialize decisions across serving workers.
-    std::lock_guard lock(decision_mutex_);
-    if (adapter_) {
-      // Online adaptation: decide with the currently published policy
-      // snapshot. current() is one acquire-load; the engine is four
-      // pointers, so building it per decision adds no locking and no
-      // allocation to the hot path.
-      const PolicySnapshot* snap = adapter_->current();
-      const core::DecisionEngine engine(*artifacts_.env, snap->policy(),
-                                        snap->replay(), calib);
-      d = engine.decide(c, rng);
-    } else {
-      d = engine_.decide(c, rng);
-    }
+  if (adapter_) {
+    // Online adaptation: decide with the currently published policy
+    // snapshot. current() is one acquire-load; the engine is four
+    // pointers, so building it per decision adds no locking and no
+    // allocation to the hot path.
+    const PolicySnapshot* snap = adapter_->current();
+    const core::DecisionEngine engine(*artifacts_.env, snap->policy(),
+                                      snap->replay(), calib);
+    d = engine.decide(c, rng);
+  } else {
+    d = engine_.decide(c, rng);
   }
   if (opts_.use_cache) cache_.put(c, d);
   return d;
@@ -245,13 +242,13 @@ PlannedRequest MurmurationSystem::plan_request_impl(const RequestContext& ctx,
   //    forecast made BEFORE it, and the residual feeds the per-device
   //    drift detector; a fired detector re-fits the monitor (drop the
   //    pre-shift history) and purges cached strategies touching the
-  //    drifted device. All under the existing decision mutex — the drift
-  //    path adds no new lock.
+  //    drifted device. All under the monitor mutex — the drift path adds
+  //    no new lock.
   netsim::NetworkConditions est;
   {
     MURMUR_SPAN("monitor", "runtime",
                 obs::maybe_histogram("stage.monitor_ms"));
-    std::lock_guard lock(decision_mutex_);
+    std::lock_guard lock(monitor_mutex_);
     if (adapter_) {
       obs::add("monitor.probes",
                network_.num_devices() > 0 ? network_.num_devices() - 1 : 0);
@@ -313,7 +310,7 @@ PlannedRequest MurmurationSystem::plan_request_impl(const RequestContext& ctx,
                 obs::maybe_histogram("stage.precompute_ms"));
     netsim::NetworkConditions fc;
     {
-      std::lock_guard lock(decision_mutex_);
+      std::lock_guard lock(monitor_mutex_);
       fc = predictor_.forecast_all(opts_.precompute_horizon_ms);
     }
     const rl::ConstraintPoint cf =

@@ -11,12 +11,12 @@
 // Concurrency (DESIGN.md §5.9): infer(image, RequestContext),
 // plan_request and execute_batch are safe to call from several threads at
 // once. The strategy cache takes concurrent lookups lock-free of the rest
-// of the pipeline; monitoring + RL decision serialize on a decision mutex
-// (the env re-applies conditions to a shared network model per
-// evaluation); model switch + distributed execution serialize on an
-// execution mutex (one resident supernet). Serving therefore pipelines:
-// the replica pool's router plans one request while a worker executes
-// another group.
+// of the pipeline; RL decisions take no lock at all (strategy evaluation
+// is a pure function of strategy and constraint); monitoring, forecasting
+// and drift detection serialize on a monitor mutex; model switch +
+// distributed execution serialize on an execution mutex (one resident
+// supernet). Serving therefore pipelines: the replica pool's router plans
+// one request while a worker executes another group.
 #pragma once
 
 #include <atomic>
@@ -288,9 +288,9 @@ class MurmurationSystem {
   std::atomic<int> replica_id_{-1};
   Rng rng_;
   double sim_time_ms_ = 0.0;
-  // Decision pipeline lock: monitor_/predictor_ state and the RL engine
-  // (its evaluations mutate the env's shared network model).
-  std::mutex decision_mutex_;
+  // Guards the stateful monitoring stage: monitor_ probes, predictor_
+  // forecasts and the adapter's drift detector.
+  std::mutex monitor_mutex_;
   // Execution lock: one resident supernet => one switch+run at a time.
   std::mutex exec_mutex_;
   // Guards last_health_ (mask-change cache purges).

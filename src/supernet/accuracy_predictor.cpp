@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/rng.h"
 #include "supernet/accuracy_model.h"
 
 namespace murmur::supernet {
@@ -38,14 +39,15 @@ std::vector<double> encode_config(const SubnetConfig& config) {
   return f;
 }
 
-AccuracyPredictor::AccuracyPredictor(std::uint64_t seed) : rng_(seed) {
-  auto init = [this](DenseLayer& l, int in, int out) {
+AccuracyPredictor::AccuracyPredictor(std::uint64_t seed) {
+  Rng rng(seed);
+  auto init = [&rng](DenseLayer& l, int in, int out) {
     l.in = in;
     l.out = out;
     l.w.resize(static_cast<std::size_t>(in) * out);
     l.b.assign(static_cast<std::size_t>(out), 0.0);
     const double s = std::sqrt(2.0 / in);
-    for (auto& w : l.w) w = rng_.normal(0.0, s);
+    for (auto& w : l.w) w = rng.normal(0.0, s);
   };
   const int d = static_cast<int>(config_feature_dim());
   init(l1_, d, kHidden);

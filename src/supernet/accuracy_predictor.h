@@ -7,9 +7,9 @@
 // the predictor (paper-faithful) or the analytic model directly.
 #pragma once
 
+#include <span>
 #include <vector>
 
-#include "common/rng.h"
 #include "supernet/subnet_config.h"
 
 namespace murmur::supernet {
@@ -51,7 +51,6 @@ class AccuracyPredictor {
 
   DenseLayer l1_, l2_, l3_;
   bool trained_ = false;
-  mutable Rng rng_;
 };
 
 }  // namespace murmur::supernet

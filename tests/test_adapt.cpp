@@ -1,9 +1,10 @@
 // Online adaptation (DESIGN.md §5.14): drift detection, checksummed
 // snapshot publication, the shadow-replay guardrail, latency calibration,
-// and the trainer/decide concurrency. The whole suite carries the `adapt`
-// ctest label: tools/run_chaos_tests.sh runs it under ASan/UBSan and again
-// under ThreadSanitizer (the hammer test races the background trainer's
-// snapshot swaps against concurrent inference).
+// the trainer/decide concurrency, and the lock-free decision path. The
+// whole suite carries the `adapt` ctest label: tools/run_chaos_tests.sh
+// runs it under ASan/UBSan and again under ThreadSanitizer (the hammer test
+// races the background trainer's snapshot swaps against concurrent
+// inference; the decision-path test runs four unlocked deciders).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -193,6 +194,73 @@ TEST(Calibration, ClampsPathologicalRatios) {
   calib.update(p, 0.0, 100.0);
   calib.update(p, 100.0, 0.0);
   EXPECT_NEAR(calib.ratio(1), 1.0, 1e-12);
+}
+
+// ---------------------------------------------------------------------------
+// Lock-free decision path
+// ---------------------------------------------------------------------------
+
+/// Strategy evaluation is a pure function of (strategy, constraint), so the
+/// decision engine needs no lock: four threads deciding interleaved slices
+/// of 96 constraints, one seed per constraint, reproduce a serialized run
+/// bit for bit. Most constraints land in buckets training never filed, so
+/// lookups take the replay tree's sharing path and fill its memo from
+/// several threads; an active calibration rescales every candidate. Swept
+/// under TSan with the rest of `ctest -L adapt`.
+TEST(DecisionPath, ConcurrentDecideMatchesSerializedBitwise) {
+  // Two identically trained artifact sets, so each run starts on a cold
+  // sharing memo.
+  const auto serial_art = tiny_artifacts();
+  const auto concurrent_art = tiny_artifacts();
+  core::LatencyCalibration calib(serial_art.env->num_devices(), 0.5);
+  for (int i = 0; i < 16; ++i) calib.update({false, true}, 100.0, 170.0);
+  ASSERT_TRUE(calib.active());
+
+  constexpr std::size_t kConstraints = 96;
+  Rng rng(0xdec1de);
+  std::vector<rl::ConstraintPoint> points(kConstraints);
+  for (auto& c : points) {
+    c.coords.resize(
+        static_cast<std::size_t>(serial_art.env->constraint_dims()));
+    for (auto& v : c.coords) v = rng.uniform();
+  }
+  const rl::BucketedReplayTree& tree = *serial_art.replay;
+  std::size_t shared = 0;
+  for (const auto& c : points)
+    if (const rl::ReplayEntry* e = tree.best_for(c);
+        e != nullptr && !(tree.filing_key_of(e->tight) == tree.key_of(c)))
+      ++shared;
+  EXPECT_GT(shared, 0u);
+
+  const auto decide_all = [&](const core::TrainedArtifacts& art,
+                              std::size_t threads) {
+    const core::DecisionEngine engine(*art.env, *art.policy, art.replay.get(),
+                                      &calib);
+    std::vector<core::Decision> out(kConstraints);
+    std::vector<std::thread> workers;
+    for (std::size_t t = 0; t < threads; ++t)
+      workers.emplace_back([&, t] {
+        for (std::size_t i = t; i < kConstraints; i += threads) {
+          Rng seed_rng(0x5eed + i);
+          out[i] = engine.decide(points[i], seed_rng);
+        }
+      });
+    for (auto& w : workers) w.join();
+    return out;
+  };
+  const auto serial = decide_all(serial_art, 1);
+  const auto concurrent = decide_all(concurrent_art, 4);
+  for (std::size_t i = 0; i < kConstraints; ++i) {
+    const core::Decision& a = serial[i];
+    const core::Decision& b = concurrent[i];
+    EXPECT_TRUE(a.strategy.config == b.strategy.config) << "constraint " << i;
+    EXPECT_TRUE(a.strategy.plan == b.strategy.plan) << "constraint " << i;
+    EXPECT_EQ(a.predicted.latency_ms, b.predicted.latency_ms) << i;
+    EXPECT_EQ(a.predicted.accuracy, b.predicted.accuracy) << i;
+    EXPECT_EQ(a.model.latency_ms, b.model.latency_ms) << i;
+    EXPECT_EQ(a.reward, b.reward) << i;
+    EXPECT_EQ(a.satisfied, b.satisfied) << i;
+  }
 }
 
 // ---------------------------------------------------------------------------

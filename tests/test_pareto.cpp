@@ -250,7 +250,6 @@ TEST(Front, CalibratedQueriesMatchBruteForceOverMembers) {
 /// conditions too.
 TEST(FrontIndex, DifferentialAgainstBruteForce) {
   const auto env = tiny_env();
-  core::MurmurationEnv eval_env(env->network(), env->options());
   Rng rng(505);
 
   // Enumerated strategy set: 48 random schema-valid strategies.
@@ -277,12 +276,12 @@ TEST(FrontIndex, DifferentialAgainstBruteForce) {
   for (std::size_t b = 0; b < keys.size(); ++b) {
     const rl::ConstraintPoint corner = builder.corner_constraint(keys[b], 1.0);
     for (const auto& actions : candidates) {
-      const rl::Outcome o = eval_env.evaluate(corner, actions);
+      const rl::Outcome o = env->evaluate(corner, actions);
       per_bucket[b].push_back({actions, o});
       ParetoPoint p;
       p.actions = actions;
       p.outcome = o;
-      p.strategy = eval_env.decode(actions);
+      p.strategy = env->decode(actions);
       idx->front_for(keys[b]).insert(std::move(p));
     }
     ASSERT_TRUE(idx->front_for(keys[b]).invariants_ok());
@@ -313,7 +312,7 @@ TEST(FrontIndex, DifferentialAgainstBruteForce) {
     EXPECT_DOUBLE_EQ(got->outcome.accuracy, want->outcome.accuracy);
     // Corner conservatism: re-evaluated at the query's own conditions the
     // chosen strategy can only get faster.
-    const rl::Outcome actual = eval_env.evaluate(c, got->actions);
+    const rl::Outcome actual = env->evaluate(c, got->actions);
     EXPECT_LE(actual.latency_ms, got->outcome.latency_ms + 1e-9);
     EXPECT_LE(actual.latency_ms, budget + 1e-9);
   }
@@ -363,15 +362,14 @@ ParetoFrontIndex small_index(const core::MurmurationEnv& env) {
   FrontKey k;
   k.coords.assign(static_cast<std::size_t>(idx.task_dims()),
                   static_cast<std::int8_t>(env.grid_points() - 1));
-  core::MurmurationEnv eval_env(env.network(), env.options());
   const rl::ConstraintPoint corner{
       std::vector<double>(static_cast<std::size_t>(env.constraint_dims()),
                           1.0)};
   for (int i = 0; i < 8; ++i) {
     ParetoPoint p;
     p.actions = random_rollout(env, rng);
-    p.outcome = eval_env.evaluate(corner, p.actions);
-    p.strategy = eval_env.decode(p.actions);
+    p.outcome = env.evaluate(corner, p.actions);
+    p.strategy = env.decode(p.actions);
     const auto used = partition::plan_participants(
         p.strategy.plan, p.strategy.config, env.num_devices());
     for (std::size_t d = 0; d < used.size(); ++d)

@@ -3,6 +3,9 @@
 // propagation), supernet host switching, and the full system facade.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <filesystem>
+
 #include "core/training.h"
 #include "netsim/scenario.h"
 #include "runtime/executor.h"
@@ -127,6 +130,57 @@ TEST(Executor, DistributedFp32MatchesLocal) {
   EXPECT_TRUE(distributed.logits.allclose(local.logits, 1e-3f));
 }
 
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.raw(), b.raw(), a.bytes()) == 0;
+}
+
+TEST(Executor, Fp32WiresMatchSupernetForwardBitwise) {
+  // Differential: with fp32 wires the distributed forward IS the supernet's
+  // forward, bit for bit, at every resolution (176 and 208 feed odd maps
+  // into stride-2 blocks), on an all-local and a spread plan, with each
+  // block tiled alone and with every block tiled at once.
+  supernet::Supernet net(tiny_opts());
+  auto network = netsim::make_device_swarm();
+  DistributedExecutor exec(net, network);
+  partition::PlacementPlan spread = partition::PlacementPlan::all_local();
+  for (auto& row : spread.device) row = {1, 2, 3, 4};
+  const partition::PlacementPlan plans[] = {
+      partition::PlacementPlan::all_local(), spread};
+  for (const int res : {160, 176, 192, 208, 224}) {
+    Rng rng(static_cast<std::uint64_t>(res));
+    const Tensor img = Tensor::randn({1, 3, res, res}, rng, 0.0f, 0.5f);
+    SubnetConfig untiled = SubnetConfig::max_config();
+    untiled.resolution = res;
+    for (auto& b : untiled.blocks) {
+      b.quant = QuantBits::k32;
+      b.grid = PartitionGrid{1, 1};
+    }
+    std::vector<SubnetConfig> cases{untiled};
+    SubnetConfig all_tiled = untiled;
+    for (std::size_t b = 0; b < untiled.blocks.size(); ++b) {
+      cases.push_back(untiled);
+      cases.back().blocks[b].grid = PartitionGrid{2, 2};
+      all_tiled.blocks[b].grid = PartitionGrid{2, 2};
+    }
+    cases.push_back(all_tiled);
+    int tiled_alone = 0;
+    for (std::size_t k = 0; k < cases.size(); ++k) {
+      net.activate(cases[k]);
+      const Tensor direct = net.forward(img);
+      for (const auto& plan : plans) {
+        const auto rep = exec.run(img, cases[k], plan);
+        EXPECT_TRUE(bitwise_equal(rep.logits, direct))
+            << "res " << res << " case " << k << " spread " << (plan == spread);
+        if (k > 0 && k <= supernet::kMaxBlocks && plan == spread)
+          tiled_alone += rep.partitioned_blocks;
+      }
+    }
+    // 18-20 of the 20 blocks tile alone on a 2x2 grid at these sizes.
+    EXPECT_GE(tiled_alone, 15) << "res " << res;
+  }
+}
+
 TEST(Executor, QuantizedWiresPerturbLogits) {
   supernet::Supernet net(tiny_opts());
   auto network = netsim::make_augmented_computing();
@@ -217,6 +271,33 @@ TEST(System, EndToEndInference) {
   EXPECT_GT(r1.sim_latency_ms, 0.0);
   EXPECT_TRUE(r1.decision.strategy.config.valid());
   EXPECT_TRUE(r1.decision.strategy.plan.valid(r1.decision.strategy.config, 2));
+}
+
+TEST(System, FreshAndLoadedArtifactsStartOnScenarioLinks) {
+  // Training evaluates thousands of constraints; none of them may stay in
+  // the env's network. A system built from fresh artifacts starts on the
+  // same links as one built from the checkpoint they were saved to.
+  core::TrainSetup setup;
+  setup.trainer.total_steps = 10;
+  setup.trainer.eval_every = 10;
+  setup.trainer.eval_points = 2;
+  setup.policy.hidden = 16;
+  const auto fresh = core::train(setup);
+  EXPECT_EQ(fresh.env->network().conditions(),
+            netsim::make_scenario(setup.scenario).conditions());
+
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "murmur_links_ckpt";
+  std::filesystem::remove_all(dir);
+  SystemOptions opts;
+  opts.exec_width_mult = 0.1;
+  opts.classes = 10;
+  MurmurationSystem trained(core::train_or_load(setup, dir.string()), opts);
+  MurmurationSystem loaded(core::train_or_load(setup, dir.string()), opts);
+  EXPECT_EQ(trained.network().conditions(), loaded.network().conditions());
+  EXPECT_EQ(trained.network().conditions(),
+            netsim::make_scenario(setup.scenario).conditions());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(System, CacheHitsOnRepeatedRequests) {
