@@ -1,13 +1,16 @@
 // google-benchmark microbenchmarks of the hot kernels: packed vs. naive
 // GEMM over real supernet layer shapes, GEMM-based convolution, depthwise
-// convolution, activation quantization, the LSTM policy step and the
+// convolution (stride 1 and 2), the BN + hard-swish epilogue, activation
+// quantization, the LSTM policy step and the
 // supernet submodel switch.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "rl/lstm.h"
 #include "runtime/supernet_host.h"
@@ -93,6 +96,49 @@ void BM_Conv2dDepthwise(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(conv.forward(x));
 }
 BENCHMARK(BM_Conv2dDepthwise)->Arg(3)->Arg(5)->Arg(7);
+
+// Stride-2 depthwise at the shapes of the supernet's downsampling blocks:
+// args are (channels, input side, kernel).
+void BM_Conv2dDepthwiseStride2(benchmark::State& state) {
+  Rng rng(2);
+  const int ch = static_cast<int>(state.range(0));
+  const int side = static_cast<int>(state.range(1));
+  const int k = static_cast<int>(state.range(2));
+  nn::Conv2D conv(ch, ch, 7, 2, ch, rng);
+  conv.set_active_kernel(k);
+  Tensor x = Tensor::randn({1, ch, side, side}, rng);
+  Tensor out(conv.out_shape(x.shape()));
+  for (auto _ : state) {
+    conv.forward_into(x, out);
+    benchmark::DoNotOptimize(out.raw());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(conv.flops(x.shape())));
+}
+BENCHMARK(BM_Conv2dDepthwiseStride2)
+    ->Args({16, 112, 3})
+    ->Args({16, 112, 5})
+    ->Args({16, 112, 7})
+    ->Args({32, 28, 7});
+
+// The in-place BN + hard-swish epilogue on a 16×112×112 map. Each
+// iteration restores the input first (a plain copy, timed too): applied to
+// its own output, hard-swish drives negative values into denormals.
+void BM_BnHardSwishInplace(benchmark::State& state) {
+  Rng rng(5);
+  nn::BatchNorm bn(16);
+  const Tensor src = Tensor::randn({1, 16, 112, 112}, rng);
+  Tensor x = src;
+  for (auto _ : state) {
+    std::copy(src.raw(), src.raw() + src.size(), x.raw());
+    bn.forward_inplace(x, true);
+    benchmark::DoNotOptimize(x.raw());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * x.bytes());
+}
+BENCHMARK(BM_BnHardSwishInplace);
 
 // Int8 depthwise (VBMI sliding-window kernel) over the same shapes.
 void BM_Conv2dDepthwiseInt8(benchmark::State& state) {

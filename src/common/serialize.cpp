@@ -41,6 +41,16 @@ void ByteWriter::write_bytes(std::span<const std::uint8_t> bytes) {
   buf_.insert(buf_.end(), bytes.begin(), bytes.end());
 }
 
+std::uint8_t* ByteWriter::append(std::size_t n) {
+  const std::size_t at = buf_.size();
+  buf_.resize(at + n);
+  return buf_.data() + at;
+}
+
+void ByteWriter::patch_u64(std::size_t at, std::uint64_t v) {
+  std::memcpy(buf_.data() + at, &v, sizeof v);
+}
+
 bool ByteReader::take(void* out, std::size_t n) noexcept {
   if (!ok_ || pos_ + n > data_.size()) {
     ok_ = false;

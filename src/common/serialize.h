@@ -23,6 +23,11 @@ class ByteWriter {
   void write_f32_span(std::span<const float> xs);
   void write_f64_span(std::span<const double> xs);
   void write_bytes(std::span<const std::uint8_t> bytes);
+  /// Append `n` zero bytes and return them for the caller to fill in place.
+  std::uint8_t* append(std::size_t n);
+  /// Overwrite the u64 written at byte offset `at` (a length placeholder).
+  void patch_u64(std::size_t at, std::uint64_t v);
+  void reserve(std::size_t n) { buf_.reserve(n); }
 
   const std::vector<std::uint8_t>& data() const noexcept { return buf_; }
   std::vector<std::uint8_t> take() noexcept { return std::move(buf_); }

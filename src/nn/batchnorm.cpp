@@ -1,8 +1,11 @@
 #include "nn/batchnorm.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <sstream>
+
+#include "obs/trace.h"
 
 namespace murmur::nn {
 
@@ -25,16 +28,29 @@ BatchNorm::BatchNorm(int channels, std::span<const float> gamma,
 }
 
 Tensor BatchNorm::forward(const Tensor& input) {
-  assert(input.rank() == 4 && input.dim(1) == channels_);
   Tensor out = input;
-  const int n = out.dim(0), h = out.dim(2), w = out.dim(3);
-  for (int b = 0; b < n; ++b)
-    for (int c = 0; c < channels_; ++c) {
-      const float s = scale_[c], t = shift_[c];
-      for (int y = 0; y < h; ++y)
-        for (int x = 0; x < w; ++x) out.at(b, c, y, x) = s * out.at(b, c, y, x) + t;
-    }
+  forward_inplace(out, false);
   return out;
+}
+
+void BatchNorm::forward_inplace(Tensor& x, bool hswish) const {
+  MURMUR_SPAN("kernel.bn_act", "kernel",
+              obs::maybe_histogram("kernel.bn_act_ms"));
+  assert(x.rank() == 4 && x.dim(1) == channels_);
+  const std::size_t plane = static_cast<std::size_t>(x.dim(2)) * x.dim(3);
+  float* p = x.raw();
+  for (int b = 0; b < x.dim(0); ++b)
+    for (int c = 0; c < channels_; ++c, p += plane) {
+      const float s = scale_[c], t = shift_[c];
+      if (hswish) {
+        for (std::size_t i = 0; i < plane; ++i) {
+          const float y = s * p[i] + t;
+          p[i] = y * std::clamp(y + 3.0f, 0.0f, 6.0f) / 6.0f;
+        }
+      } else {
+        for (std::size_t i = 0; i < plane; ++i) p[i] = s * p[i] + t;
+      }
+    }
 }
 
 std::string BatchNorm::name() const {

@@ -16,7 +16,14 @@ class BatchNorm final : public Layer {
             std::span<const float> beta, std::span<const float> running_mean,
             std::span<const float> running_var, float eps = 1e-5f);
 
+  /// Copy of the input, then forward_inplace(copy, false).
   Tensor forward(const Tensor& input) override;
+  /// In place, per channel plane: y = scale·x + shift, then, when `hswish`,
+  /// y·clamp(y + 3, 0, 6) / 6. The expressions and their order are those of
+  /// forward() followed by apply_activation(kHardSwish), so the fused
+  /// epilogue is bitwise equal to the two passes. Elementwise, so the
+  /// result never depends on the batch size or the tile.
+  void forward_inplace(Tensor& x, bool hswish) const;
   std::vector<int> out_shape(const std::vector<int>& in) const override {
     return in;
   }

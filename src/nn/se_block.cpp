@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "nn/activations.h"
+#include "obs/trace.h"
 #include "tensor/gemm.h"
 #include "tensor/workspace.h"
 
@@ -23,6 +24,7 @@ Tensor SEBlock::forward(const Tensor& input) {
 }
 
 void SEBlock::forward_into(const Tensor& input, Tensor& out) {
+  MURMUR_SPAN("kernel.se", "kernel", obs::maybe_histogram("kernel.se_ms"));
   assert(input.rank() == 4 && input.dim(1) == channels_);
   assert(out.shape() == input.shape());
   const int n = input.dim(0), h = input.dim(2), w = input.dim(3);

@@ -11,8 +11,23 @@
 
 namespace murmur::runtime {
 
-std::vector<std::uint8_t> encode_activation(const QuantizedTensor& qt) {
-  ByteWriter w;
+namespace {
+
+/// Bytes of the bit-packed codes of a quantized (non-k32) tensor.
+std::size_t packed_bytes(const QuantizedTensor& qt) {
+  return (qt.q.size() * static_cast<std::size_t>(bit_count(qt.bits)) + 7) / 8;
+}
+
+/// Exact size of encode_activation(qt), so a frame can be reserved once.
+std::size_t encoded_size(const QuantizedTensor& qt) {
+  const std::size_t header = 4 * 4 + 4 * qt.shape.size() + 4;
+  if (qt.bits == QuantBits::k32)
+    return header + 8 + qt.passthrough.size() * sizeof(float);
+  return header + 8 + 8 + packed_bytes(qt);
+}
+
+/// Append the ACT1 encoding of `qt` to `w`.
+void write_activation(ByteWriter& w, const QuantizedTensor& qt) {
   w.write_u32(0x41435431u);  // "ACT1"
   w.write_u32(static_cast<std::uint32_t>(qt.shape.size()));
   for (int d : qt.shape) w.write_i32(d);
@@ -21,27 +36,36 @@ std::vector<std::uint8_t> encode_activation(const QuantizedTensor& qt) {
   w.write_f32(qt.zero_point);
   if (qt.bits == QuantBits::k32) {
     w.write_f32_span(qt.passthrough);
-  } else {
-    // Bit-pack the codes at the configured width (sign-extended on read).
-    const int bits = bit_count(qt.bits);
-    w.write_u64(qt.q.size());
-    std::uint64_t acc = 0;
-    int filled = 0;
-    std::vector<std::uint8_t> packed;
-    packed.reserve(qt.q.size() * static_cast<std::size_t>(bits) / 8 + 8);
-    const std::uint64_t mask = (1ull << bits) - 1;
-    for (std::int32_t v : qt.q) {
-      acc |= (static_cast<std::uint64_t>(v) & mask) << filled;
-      filled += bits;
-      while (filled >= 8) {
-        packed.push_back(static_cast<std::uint8_t>(acc & 0xff));
-        acc >>= 8;
-        filled -= 8;
-      }
-    }
-    if (filled > 0) packed.push_back(static_cast<std::uint8_t>(acc & 0xff));
-    w.write_bytes(packed);
+    return;
   }
+  // Bit-pack the codes at the configured width (sign-extended on read),
+  // straight into the frame.
+  const int bits = bit_count(qt.bits);
+  const std::size_t n = packed_bytes(qt);
+  w.write_u64(qt.q.size());
+  w.write_u64(n);
+  std::uint8_t* out = w.append(n);
+  std::uint64_t acc = 0;
+  int filled = 0;
+  const std::uint64_t mask = (1ull << bits) - 1;
+  for (std::int32_t v : qt.q) {
+    acc |= (static_cast<std::uint64_t>(v) & mask) << filled;
+    filled += bits;
+    while (filled >= 8) {
+      *out++ = static_cast<std::uint8_t>(acc & 0xff);
+      acc >>= 8;
+      filled -= 8;
+    }
+  }
+  if (filled > 0) *out = static_cast<std::uint8_t>(acc & 0xff);
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> encode_activation(const QuantizedTensor& qt) {
+  ByteWriter w;
+  w.reserve(encoded_size(qt));
+  write_activation(w, qt);
   return w.take();
 }
 
@@ -104,10 +128,21 @@ std::optional<QuantizedTensor> decode_activation(
 
 std::vector<std::uint8_t> encode_activation_batch(
     std::span<const QuantizedTensor> batch) {
+  // One frame, reserved once; each member is encoded straight into it and
+  // its length prefix is patched with the bytes actually written, so the
+  // prefix never depends on encoded_size (that only sizes the reserve).
+  std::size_t total = 8;
+  for (const QuantizedTensor& qt : batch) total += 8 + encoded_size(qt);
   ByteWriter w;
+  w.reserve(total);
   w.write_u32(0x41435442u);  // "ACTB"
   w.write_u32(static_cast<std::uint32_t>(batch.size()));
-  for (const QuantizedTensor& qt : batch) w.write_bytes(encode_activation(qt));
+  for (const QuantizedTensor& qt : batch) {
+    const std::size_t prefix = w.size();
+    w.write_u64(0);
+    write_activation(w, qt);
+    w.patch_u64(prefix, w.size() - prefix - 8);
+  }
   return w.take();
 }
 

@@ -41,17 +41,15 @@ bool MBConvBlock::can_partition(const Tensor& x,
 Tensor MBConvBlock::forward_tile(const Tensor& tile, const BlockConfig& cfg) {
   assert(dw_.active_kernel() == cfg.kernel && "call prepare() first");
   Tensor x = expand_.forward(tile);
-  x = bn1_.forward(x);
-  nn::apply_activation(nn::Activation::kHardSwish, x);
+  bn1_.forward_inplace(x, true);
   // Depthwise conv with same-padding on the *tile* is exactly FDSP: the
   // interior edges see zeros where a halo exchange would have provided
   // neighbour pixels.
   x = dw_.forward(x);
-  x = bn2_.forward(x);
-  nn::apply_activation(nn::Activation::kHardSwish, x);
-  if (se_) x = se_->forward(x);  // per-tile squeeze (FDSP approximation)
+  bn2_.forward_inplace(x, true);
+  if (se_) se_->forward_into(x, x);  // per-tile squeeze (FDSP approximation)
   x = project_.forward(x);
-  x = bn3_.forward(x);
+  bn3_.forward_inplace(x, false);
   if (residual_) {
     // Residual is positional, so it is exact per tile.
     x.add_(tile);
@@ -121,8 +119,7 @@ int Supernet::scaled_channels(int ch) const noexcept {
 
 Tensor Supernet::forward_stem(const Tensor& image) {
   Tensor x = stem_->forward(image);
-  x = stem_bn_->forward(x);
-  nn::apply_activation(nn::Activation::kHardSwish, x);
+  stem_bn_->forward_inplace(x, true);
   return x;
 }
 
@@ -151,8 +148,7 @@ bool Supernet::block_can_partition(int block, const Tensor& x) const noexcept {
 
 Tensor Supernet::forward_head(const Tensor& features) {
   Tensor x = head_conv_->forward(features);
-  x = head_bn_->forward(x);
-  nn::apply_activation(nn::Activation::kHardSwish, x);
+  head_bn_->forward_inplace(x, true);
   x = pool_->forward(x);
   return classifier_->forward(x);
 }

@@ -31,26 +31,6 @@ bool int8_depthwise_vectorized() noexcept { return MURMUR_INT8_DW_VEC != 0; }
 
 namespace {
 
-/// Accumulate one bounds-checked output pixel (border path).
-inline float border_pixel(const float* MURMUR_RESTRICT ic,
-                          const float* MURMUR_RESTRICT wc, int w, int k,
-                          int iy0, int ix0, int ky_lo, int ky_hi) {
-  const int kx_lo = std::max(0, -ix0);
-  const int kx_hi = std::min(k, w - ix0);
-  float acc = 0.0f;
-  for (int ky = ky_lo; ky < ky_hi; ++ky) {
-    const float* MURMUR_RESTRICT row =
-        ic + static_cast<std::size_t>(iy0 + ky) * w + ix0;
-    const float* MURMUR_RESTRICT wrow = wc + static_cast<std::size_t>(ky) * k;
-    for (int kx = kx_lo; kx < kx_hi; ++kx) acc += wrow[kx] * row[kx];
-  }
-  return acc;
-}
-
-}  // namespace
-
-namespace {
-
 /// Stride-1 depthwise: for each weight tap (ky,kx), the set of outputs the
 /// tap touches is a contiguous sub-rectangle of the plane, so the whole
 /// convolution decomposes into k·k shifted axpy sweeps — unit-stride,
@@ -81,6 +61,66 @@ void depthwise_stride1(const float* MURMUR_RESTRICT ic,
   }
 }
 
+/// Lowest i >= 0 with s·i + d >= 0, and one past the highest i with
+/// s·i + d < n: the outputs a tap at input offset d reaches.
+inline int first_in_bounds(int d, int s) {
+  return d >= 0 ? 0 : (s - 1 - d) / s;
+}
+inline int end_in_bounds(int d, int s, int n) {
+  return n - 1 - d >= 0 ? (n - 1 - d) / s + 1 : 0;
+}
+
+/// Strided depthwise (stride s >= 2) over one channel. Output column ox
+/// reads input column s·ox − pad + kx, so once every input row is split
+/// into its s column phases (`phases`: s planes of h × cw), each tap
+/// (ky, kx) reads a contiguous run of one phase plane, and the outputs it
+/// reaches form a sub-rectangle of the plane: the convolution becomes k·k
+/// unit-stride axpy sweeps into a zeroed output, borders included. Every
+/// output adds its in-bounds taps to zero in (ky, kx) order and the bias
+/// last, the order of depthwise_conv2d_ref, so the two agree bitwise.
+void depthwise_strided(const float* MURMUR_RESTRICT ic,
+                       const float* MURMUR_RESTRICT wc, int h, int w, int k,
+                       int s, int pad, float b, int oh, int ow, int cw,
+                       float* MURMUR_RESTRICT phases,
+                       float* MURMUR_RESTRICT oc) {
+  const std::size_t plane = static_cast<std::size_t>(h) * cw;
+  for (int y = 0; y < h; ++y) {
+    const float* MURMUR_RESTRICT row = ic + static_cast<std::size_t>(y) * w;
+    for (int p = 0; p < s; ++p) {
+      float* MURMUR_RESTRICT dst =
+          phases + p * plane + static_cast<std::size_t>(y) * cw;
+      const int n = (w - p + s - 1) / s;
+      for (int j = 0; j < n; ++j) dst[j] = row[p + j * s];
+    }
+  }
+  const std::size_t n = static_cast<std::size_t>(oh) * ow;
+  for (std::size_t i = 0; i < n; ++i) oc[i] = 0.0f;
+  for (int ky = 0; ky < k; ++ky) {
+    const int oy_lo = first_in_bounds(ky - pad, s);
+    const int oy_hi = std::min(oh, end_in_bounds(ky - pad, s, h));
+    for (int kx = 0; kx < k; ++kx) {
+      const int d = kx - pad;
+      const int ox_lo = first_in_bounds(d, s);
+      const int ox_hi = std::min(ow, end_in_bounds(d, s, w));
+      const int span = ox_hi - ox_lo;
+      if (span <= 0 || oy_hi <= oy_lo) continue;
+      // Input column s·ox + d is element ox + (d − phase) / s of its phase.
+      const int phase = ((d % s) + s) % s;
+      const float wv = wc[ky * k + kx];
+      const float* MURMUR_RESTRICT ip =
+          phases + phase * plane +
+          static_cast<std::size_t>(oy_lo * s - pad + ky) * cw +
+          (ox_lo + (d - phase) / s);
+      float* MURMUR_RESTRICT op =
+          oc + static_cast<std::size_t>(oy_lo) * ow + ox_lo;
+      const std::size_t istep = static_cast<std::size_t>(s) * cw;
+      for (int oy = oy_lo; oy < oy_hi; ++oy, ip += istep, op += ow)
+        for (int x = 0; x < span; ++x) op[x] += wv * ip[x];
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) oc[i] = b + oc[i];
+}
+
 }  // namespace
 
 void depthwise_conv2d(const float* in, int channels, int h, int w,
@@ -96,49 +136,15 @@ void depthwise_conv2d(const float* in, int channels, int h, int w,
                         out + static_cast<std::size_t>(c) * oh * ow);
     return;
   }
-  // Interior output range along x: every kx tap lands inside [0, w).
-  const int x_lo = std::min((pad + stride - 1) / stride, ow);
-  const int x_hi =
-      std::clamp(w - k + pad >= 0 ? (w - k + pad) / stride + 1 : 0, x_lo, ow);
-
-  for (int c = 0; c < channels; ++c) {
-    const float* MURMUR_RESTRICT ic =
-        in + static_cast<std::size_t>(c) * h * w;
-    const float* MURMUR_RESTRICT wc =
-        weights + static_cast<std::size_t>(c) * k * k;
-    float* MURMUR_RESTRICT oc = out + static_cast<std::size_t>(c) * oh * ow;
-    const float b = bias ? bias[c] : 0.0f;
-
-    for (int oy = 0; oy < oh; ++oy) {
-      float* MURMUR_RESTRICT orow = oc + static_cast<std::size_t>(oy) * ow;
-      const int iy0 = oy * stride - pad;
-      const int ky_lo = std::max(0, -iy0);
-      const int ky_hi = std::min(k, h - iy0);
-      for (int ox = 0; ox < ow; ++ox) orow[ox] = b;
-
-      // Left/right borders: clamped kx range per pixel, no inner-loop ifs.
-      for (int ox = 0; ox < x_lo; ++ox)
-        orow[ox] +=
-            border_pixel(ic, wc, w, k, iy0, ox * stride - pad, ky_lo, ky_hi);
-      for (int ox = x_hi; ox < ow; ++ox)
-        orow[ox] +=
-            border_pixel(ic, wc, w, k, iy0, ox * stride - pad, ky_lo, ky_hi);
-
-      // Interior: full kx range guaranteed in bounds, no per-tap checks.
-      for (int ox = x_lo; ox < x_hi; ++ox) {
-        const int ix0 = ox * stride - pad;
-        float acc = 0.0f;
-        for (int ky = ky_lo; ky < ky_hi; ++ky) {
-          const float* MURMUR_RESTRICT row =
-              ic + static_cast<std::size_t>(iy0 + ky) * w + ix0;
-          const float* MURMUR_RESTRICT wrow =
-              wc + static_cast<std::size_t>(ky) * k;
-          for (int kx = 0; kx < k; ++kx) acc += wrow[kx] * row[kx];
-        }
-        orow[ox] += acc;
-      }
-    }
-  }
+  const int cw = (w + stride - 1) / stride;
+  Workspace& ws = Workspace::tls();
+  Workspace::Frame frame(ws);
+  float* phases = ws.alloc(static_cast<std::size_t>(stride) * h * cw);
+  for (int c = 0; c < channels; ++c)
+    depthwise_strided(in + static_cast<std::size_t>(c) * h * w,
+                      weights + static_cast<std::size_t>(c) * k * k, h, w, k,
+                      stride, pad, bias ? bias[c] : 0.0f, oh, ow, cw, phases,
+                      out + static_cast<std::size_t>(c) * oh * ow);
 }
 
 void depthwise_conv2d_ref(const float* in, int channels, int h, int w,
@@ -152,7 +158,7 @@ void depthwise_conv2d_ref(const float* in, int channels, int h, int w,
     float* oc = out + static_cast<std::size_t>(c) * oh * ow;
     for (int oy = 0; oy < oh; ++oy) {
       for (int ox = 0; ox < ow; ++ox) {
-        float acc = bias ? bias[c] : 0.0f;
+        float acc = 0.0f;
         for (int ky = 0; ky < k; ++ky) {
           const int iy = oy * stride - pad + ky;
           if (iy < 0 || iy >= h) continue;
@@ -162,7 +168,8 @@ void depthwise_conv2d_ref(const float* in, int channels, int h, int w,
             acc += wc[ky * k + kx] * ic[static_cast<std::size_t>(iy) * w + ix];
           }
         }
-        oc[static_cast<std::size_t>(oy) * ow + ox] = acc;
+        oc[static_cast<std::size_t>(oy) * ow + ox] =
+            (bias ? bias[c] : 0.0f) + acc;
       }
     }
   }

@@ -2,11 +2,14 @@
 //
 // The depthwise kernel is the supernet's second-hottest operation (every
 // MBConv block runs one at the elastic kernel size). `depthwise_conv2d`
-// splits each output row into border and interior segments so all bounds
-// checks hoist out of the inner loop; the stride-1 interior reduces to
-// unit-stride multiply-accumulate sweeps that auto-vectorize. The `_ref`
-// variants are the original checked quad-loops, kept for differential
-// testing.
+// reduces to one unit-stride multiply-accumulate sweep per tap over the
+// sub-rectangle of outputs the tap reaches, borders included, so no bounds
+// check sits in an inner loop and every sweep auto-vectorizes. Stride 1
+// sweeps the input plane directly; stride s > 1 first splits each row into
+// its s column phases so every tap reads a contiguous run. The `_ref`
+// variants are checked quad-loops kept for differential testing; the
+// strided kernel keeps `depthwise_conv2d_ref`'s accumulation order and
+// matches it bitwise.
 //
 // All kernels operate on a single image in CHW layout with square kernels,
 // symmetric zero padding and row-major contiguous storage.
@@ -40,7 +43,8 @@ void depthwise_conv2d(const float* in, int channels, int h, int w,
                       const float* weights, const float* bias, int k,
                       int stride, int pad, float* out);
 
-/// Reference depthwise convolution (per-element bounds checks).
+/// Reference depthwise convolution (per-element bounds checks). Each output
+/// adds its in-bounds taps to zero in (ky, kx) order, then the bias.
 void depthwise_conv2d_ref(const float* in, int channels, int h, int w,
                           const float* weights, const float* bias, int k,
                           int stride, int pad, float* out);

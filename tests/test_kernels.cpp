@@ -1,10 +1,12 @@
 // Differential tests for the optimized compute kernels: every fast path
 // (packed GEMM, parallel GEMM dispatch, gemv, im2col, depthwise conv,
 // grouped conv, quantize) is checked against its naive `_ref`
-// counterpart across awkward shapes — odd H/W, pad > 0, stride 2,
+// counterpart across awkward shapes — odd H/W, pad > 0, strides 2 and 3,
 // groups > 1, elastic kernel crops, and sizes straddling the parallel
-// threshold. Also covers the kernel pool's task primitive (nesting,
-// chunk counts, exceptions), Workspace reuse (zero steady-state heap
+// threshold. Where a fast path keeps the reference's accumulation order
+// (stride-2 depthwise, the in-place BN + hard-swish epilogue) the check is
+// bitwise. Also covers the kernel pool's task primitive (nesting, chunk
+// counts, exceptions), Workspace reuse (zero steady-state heap
 // allocation) and the cropped-weight cache.
 #include <gtest/gtest.h>
 
@@ -17,6 +19,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "nn/activations.h"
+#include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "tensor/conv_kernels.h"
 #include "tensor/gemm.h"
@@ -272,6 +276,7 @@ TEST(DepthwiseConv, MatchesReference) {
       {4, 11, 13, 7, 1}, {5, 9, 7, 3, 2},   {8, 15, 11, 5, 2},
       {2, 14, 14, 7, 2}, {1, 3, 3, 7, 1},   {2, 2, 2, 7, 1},
       {3, 2, 3, 7, 2},   {16, 1, 1, 3, 1},  {7, 28, 28, 7, 2},
+      {4, 13, 11, 5, 3}, {2, 9, 10, 7, 3},
   };
   for (const auto& cs : cases) {
     const int pad = cs.k / 2;
@@ -297,6 +302,68 @@ TEST(DepthwiseConv, MatchesReference) {
                    << " bias=" << (b != nullptr));
       expect_close(got.data(), want.data(), on, "depthwise");
     }
+  }
+}
+
+TEST(DepthwiseConv, Stride2MatchesTapOrderReferenceBitwise) {
+  // The strided kernel adds each output's in-bounds taps to zero in
+  // (ky, kx) order and the bias last, exactly like the reference, so the
+  // two must agree bit for bit (both sit in the kernel translation unit, so
+  // both see the same FMA contraction).
+  Rng rng(61);
+  struct Case {
+    int c, h, w;
+  };
+  const Case cases[] = {
+      {1, 9, 9},    {3, 8, 10},   {2, 13, 6},   {4, 2, 5},    {2, 5, 2},
+      {1, 1, 1},    {16, 112, 112}, {16, 56, 28}, {16, 28, 56}, {8, 27, 29},
+  };
+  for (const auto& cs : cases) {
+    for (const int k : {3, 5, 7}) {
+      const int pad = k / 2;
+      const int oh = conv_out_size(cs.h, k, 2, pad);
+      const int ow = conv_out_size(cs.w, k, 2, pad);
+      const auto in =
+          random_vec(static_cast<std::size_t>(cs.c) * cs.h * cs.w, rng);
+      const auto wts = random_vec(static_cast<std::size_t>(cs.c) * k * k, rng);
+      const auto bias = random_vec(static_cast<std::size_t>(cs.c), rng);
+      const std::size_t on = static_cast<std::size_t>(cs.c) * oh * ow;
+      std::vector<float> got(on, -99.0f), want(on, 99.0f);
+      for (const float* b : {bias.data(), static_cast<const float*>(nullptr)}) {
+        kernels::depthwise_conv2d(in.data(), cs.c, cs.h, cs.w, wts.data(), b,
+                                  k, 2, pad, got.data());
+        kernels::depthwise_conv2d_ref(in.data(), cs.c, cs.h, cs.w, wts.data(),
+                                      b, k, 2, pad, want.data());
+        ASSERT_EQ(std::memcmp(got.data(), want.data(), on * sizeof(float)), 0)
+            << "c=" << cs.c << " h=" << cs.h << " w=" << cs.w << " k=" << k
+            << " bias=" << (b != nullptr);
+      }
+    }
+  }
+}
+
+TEST(BatchNorm, InPlaceEpilogueMatchesForwardThenActivationBitwise) {
+  Rng rng(67);
+  const int ch = 6;
+  const auto gamma = random_vec(ch, rng, 1.0f);
+  const auto beta = random_vec(ch, rng, 1.0f);
+  const auto mean = random_vec(ch, rng, 0.5f);
+  auto var = random_vec(ch, rng, 0.5f);
+  for (auto& v : var) v = std::fabs(v) + 0.1f;
+  nn::BatchNorm bn(ch, gamma, beta, mean, var);
+  // Wide inputs reach both clamp bounds of hard-swish; odd planes leave
+  // vector remainders.
+  for (const auto& shape : {std::vector<int>{1, ch, 7, 9},
+                            std::vector<int>{3, ch, 14, 14}}) {
+    const Tensor x = Tensor::randn(shape, rng, 0.0f, 4.0f);
+    Tensor want = bn.forward(x);
+    Tensor affine = x;
+    bn.forward_inplace(affine, false);
+    ASSERT_EQ(std::memcmp(affine.raw(), want.raw(), want.bytes()), 0);
+    nn::apply_activation(nn::Activation::kHardSwish, want);
+    Tensor got = x;
+    bn.forward_inplace(got, true);
+    ASSERT_EQ(std::memcmp(got.raw(), want.raw(), want.bytes()), 0);
   }
 }
 
@@ -468,23 +535,28 @@ TEST(Workspace, NestedFramesUnwindLifo) {
 
 TEST(Conv2D, SteadyStateForwardIsAllocationFree) {
   Rng rng(73);
-  nn::Conv2D conv(16, 32, 5, 1, 1, rng);
-  conv.set_active_kernel(5);
-  const Tensor input = Tensor::randn({1, 16, 14, 14}, rng);
-  Tensor out(conv.out_shape(input.shape()));
+  // A grouped conv (im2col + GEMM) and a stride-2 depthwise conv (column
+  // phase planes), both from the workspace arena.
+  nn::Conv2D grouped(16, 32, 5, 1, 1, rng);
+  nn::Conv2D strided(16, 16, 7, 2, 16, rng);
+  for (nn::Conv2D* conv : {&grouped, &strided}) {
+    conv->set_active_kernel(5);
+    const Tensor input = Tensor::randn({1, 16, 14, 14}, rng);
+    Tensor out(conv->out_shape(input.shape()));
 
-  Workspace& ws = Workspace::tls();
-  conv.forward_into(input, out);  // warm the arena + crop cache
-  conv.forward_into(input, out);
-  const std::uint64_t chunks = ws.chunk_allocations();
-  const std::size_t cap = ws.capacity_bytes();
-  const std::uint64_t builds = conv.crop_cache_builds();
-  for (int i = 0; i < 20; ++i) conv.forward_into(input, out);
-  EXPECT_EQ(ws.chunk_allocations(), chunks)
-      << "steady-state forward grew the workspace";
-  EXPECT_EQ(ws.capacity_bytes(), cap);
-  EXPECT_EQ(conv.crop_cache_builds(), builds)
-      << "steady-state forward rebuilt the cropped weights";
+    Workspace& ws = Workspace::tls();
+    conv->forward_into(input, out);  // warm the arena + crop cache
+    conv->forward_into(input, out);
+    const std::uint64_t chunks = ws.chunk_allocations();
+    const std::size_t cap = ws.capacity_bytes();
+    const std::uint64_t builds = conv->crop_cache_builds();
+    for (int i = 0; i < 20; ++i) conv->forward_into(input, out);
+    EXPECT_EQ(ws.chunk_allocations(), chunks)
+        << conv->name() << ": steady-state forward grew the workspace";
+    EXPECT_EQ(ws.capacity_bytes(), cap);
+    EXPECT_EQ(conv->crop_cache_builds(), builds)
+        << conv->name() << ": steady-state forward rebuilt the cropped weights";
+  }
 }
 
 // ---------------------------------------------------------------------------

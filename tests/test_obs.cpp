@@ -1,8 +1,8 @@
 // Telemetry subsystem tests: histogram percentile correctness on known
 // distributions, counter/histogram atomicity under ThreadPool contention,
 // Chrome-trace JSON well-formedness (parsed back with a real JSON parser),
-// and a MurmurationSystem smoke test asserting every infer() produces the
-// expected span set.
+// a MurmurationSystem smoke test asserting every infer() produces the
+// expected span set, and a kernel span for every op of an MBConv block.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -20,6 +20,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/system.h"
+#include "supernet/supernet.h"
 
 namespace murmur::obs {
 namespace {
@@ -495,6 +496,45 @@ TEST_F(ObsTest, EveryInferProducesTheFullSpanSet) {
 
   // The trace is valid Chrome-trace JSON end to end.
   EXPECT_NO_THROW(JsonParser(Tracer::instance().to_chrome_json()).parse());
+}
+
+TEST_F(ObsTest, EveryMBConvOpRecordsAKernelSpan) {
+  // Each op of a block — expand, depthwise, BN + activation, SE, project —
+  // shows up as a kernel span, so a trace attributes a block's time per op.
+  supernet::SupernetOptions o;
+  o.width_mult = 0.1;
+  o.classes = 10;
+  supernet::Supernet net(o);
+  supernet::SubnetConfig cfg = supernet::SubnetConfig::max_config();
+  cfg.resolution = 160;
+  for (auto& b : cfg.blocks) {
+    b.quant = QuantBits::k32;
+    b.grid = PartitionGrid{1, 1};
+  }
+  net.activate(cfg);
+  Rng rng(9);
+  (void)net.forward(Tensor::randn({1, 3, 160, 160}, rng, 0.0f, 0.5f));
+
+  std::map<std::string, int> span_count;
+  for (const auto& e : Tracer::instance().events()) span_count[e.name]++;
+  int blocks = 0, se_blocks = 0;
+  for (int b = 0; b < supernet::kMaxBlocks; ++b) {
+    if (!cfg.block_active(b)) continue;
+    ++blocks;
+    se_blocks += supernet::kStageUsesSE[static_cast<std::size_t>(
+        b / supernet::kMaxBlocksPerStage)];
+  }
+  ASSERT_GT(se_blocks, 0);
+  // Three BNs per block plus the stem's and the head's.
+  EXPECT_EQ(span_count["kernel.bn_act"], 3 * blocks + 2);
+  EXPECT_EQ(span_count["kernel.se"], se_blocks);
+  EXPECT_EQ(span_count["kernel.dwconv"], blocks);
+  EXPECT_GE(span_count["kernel.conv"], 2 * blocks);  // expand, project
+  auto& reg = MetricsRegistry::instance();
+  EXPECT_EQ(reg.histogram("kernel.bn_act_ms").count(),
+            static_cast<std::uint64_t>(3 * blocks + 2));
+  EXPECT_EQ(reg.histogram("kernel.se_ms").count(),
+            static_cast<std::uint64_t>(se_blocks));
 }
 
 TEST_F(ObsTest, TelemetryOffKeepsCacheAccessorsWorking) {

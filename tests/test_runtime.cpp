@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 
+#include "common/serialize.h"
 #include "core/training.h"
 #include "netsim/scenario.h"
 #include "runtime/executor.h"
@@ -44,6 +45,61 @@ TEST(Codec, PackedPayloadSmallerThanFp32) {
   const auto b32 = encode_activation(quantize(t, QuantBits::k32));
   const auto b8 = encode_activation(quantize(t, QuantBits::k8));
   EXPECT_LT(b8.size(), b32.size() / 3);
+}
+
+// The ACT1 encoding as first specified: header, then the fp32 payload or
+// the codes bit-packed into a separate buffer written length-prefixed.
+std::vector<std::uint8_t> reference_encode(const QuantizedTensor& qt) {
+  ByteWriter w;
+  w.write_u32(0x41435431u);
+  w.write_u32(static_cast<std::uint32_t>(qt.shape.size()));
+  for (int d : qt.shape) w.write_i32(d);
+  w.write_u32(static_cast<std::uint32_t>(bit_count(qt.bits)));
+  w.write_f32(qt.scale);
+  w.write_f32(qt.zero_point);
+  if (qt.bits == QuantBits::k32) {
+    w.write_f32_span(qt.passthrough);
+    return w.take();
+  }
+  const int bits = bit_count(qt.bits);
+  w.write_u64(qt.q.size());
+  std::vector<std::uint8_t> packed;
+  std::uint64_t acc = 0;
+  int filled = 0;
+  for (std::int32_t v : qt.q) {
+    acc |= (static_cast<std::uint64_t>(v) & ((1ull << bits) - 1)) << filled;
+    for (filled += bits; filled >= 8; filled -= 8, acc >>= 8)
+      packed.push_back(static_cast<std::uint8_t>(acc & 0xff));
+  }
+  if (filled > 0) packed.push_back(static_cast<std::uint8_t>(acc & 0xff));
+  w.write_bytes(packed);
+  return w.take();
+}
+
+TEST(Codec, BatchFrameEqualsLengthPrefixedMemberEncodings) {
+  // The batch encoder writes members straight into one reserved frame; its
+  // bytes must equal the composition of magic, count and each member's
+  // length-prefixed single-sample encoding.
+  Rng rng(3);
+  for (const QuantBits bits :
+       {QuantBits::k32, QuantBits::k16, QuantBits::k8, QuantBits::k4}) {
+    for (const int count : {1, 3}) {
+      std::vector<QuantizedTensor> members;
+      // 75 elements: 4-bit codes leave a half-filled trailing byte.
+      for (int i = 0; i < count; ++i)
+        members.push_back(quantize(Tensor::randn({1, 3, 5, 5}, rng), bits));
+      ByteWriter want;
+      want.write_u32(0x41435442u);
+      want.write_u32(static_cast<std::uint32_t>(count));
+      for (const auto& m : members) {
+        const auto one = encode_activation(m);
+        EXPECT_EQ(one, reference_encode(m)) << bit_count(bits) << " bits";
+        want.write_bytes(one);
+      }
+      EXPECT_EQ(encode_activation_batch(members), want.data())
+          << bit_count(bits) << " bits, batch of " << count;
+    }
+  }
 }
 
 TEST(Codec, RejectsGarbage) {
