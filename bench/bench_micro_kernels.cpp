@@ -97,14 +97,14 @@ void BM_Conv2dDepthwise(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dDepthwise)->Arg(3)->Arg(5)->Arg(7);
 
-// Stride-2 depthwise at the shapes of the supernet's downsampling blocks:
-// args are (channels, input side, kernel).
-void BM_Conv2dDepthwiseStride2(benchmark::State& state) {
+// Depthwise conv at the supernet's shapes: args are (channels, input
+// side, kernel); items are FLOPs.
+void run_depthwise(benchmark::State& state, int stride) {
   Rng rng(2);
   const int ch = static_cast<int>(state.range(0));
   const int side = static_cast<int>(state.range(1));
   const int k = static_cast<int>(state.range(2));
-  nn::Conv2D conv(ch, ch, 7, 2, ch, rng);
+  nn::Conv2D conv(ch, ch, 7, stride, ch, rng);
   conv.set_active_kernel(k);
   Tensor x = Tensor::randn({1, ch, side, side}, rng);
   Tensor out(conv.out_shape(x.shape()));
@@ -115,6 +115,19 @@ void BM_Conv2dDepthwiseStride2(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(conv.flops(x.shape())));
+}
+
+void BM_Conv2dDepthwiseStride1(benchmark::State& state) {
+  run_depthwise(state, 1);
+}
+BENCHMARK(BM_Conv2dDepthwiseStride1)
+    ->ArgsProduct({{16}, {56}, {3, 5, 7}})
+    ->ArgsProduct({{32}, {28}, {3, 5, 7}})
+    ->ArgsProduct({{80, 112}, {14}, {3, 5, 7}})
+    ->ArgsProduct({{160}, {7}, {3, 5, 7}});
+
+void BM_Conv2dDepthwiseStride2(benchmark::State& state) {
+  run_depthwise(state, 2);
 }
 BENCHMARK(BM_Conv2dDepthwiseStride2)
     ->Args({16, 112, 3})

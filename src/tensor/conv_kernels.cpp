@@ -31,94 +31,144 @@ bool int8_depthwise_vectorized() noexcept { return MURMUR_INT8_DW_VEC != 0; }
 
 namespace {
 
-/// Stride-1 depthwise: for each weight tap (ky,kx), the set of outputs the
-/// tap touches is a contiguous sub-rectangle of the plane, so the whole
-/// convolution decomposes into k·k shifted axpy sweeps — unit-stride,
-/// branch-free, fully vectorizable, borders included.
-void depthwise_stride1(const float* MURMUR_RESTRICT ic,
-                       const float* MURMUR_RESTRICT wc, int h, int w, int k,
-                       int pad, float bias_v, int oh, int ow,
-                       float* MURMUR_RESTRICT oc) {
-  for (int i = 0; i < oh * ow; ++i) oc[i] = bias_v;
-  for (int ky = 0; ky < k; ++ky) {
-    // oy values with iy = oy - pad + ky inside [0, h).
-    const int oy_lo = std::max(0, pad - ky);
-    const int oy_hi = std::min(oh, h + pad - ky);
-    for (int kx = 0; kx < k; ++kx) {
-      const int ox_lo = std::max(0, pad - kx);
-      const int ox_hi = std::min(ow, w + pad - kx);
-      const int span = ox_hi - ox_lo;
-      if (span <= 0 || oy_hi <= oy_lo) continue;
-      const float wv = wc[ky * k + kx];
-      const float* MURMUR_RESTRICT ip =
-          ic + static_cast<std::size_t>(oy_lo - pad + ky) * w +
-          (ox_lo - pad + kx);
-      float* MURMUR_RESTRICT op =
-          oc + static_cast<std::size_t>(oy_lo) * ow + ox_lo;
-      for (int oy = oy_lo; oy < oy_hi; ++oy, ip += w, op += ow)
-        for (int x = 0; x < span; ++x) op[x] += wv * ip[x];
+// Register tile of the fp32 depthwise kernel: kDwRB output rows × one
+// vector of kDwVL columns, written with GCC/Clang vector extensions like
+// the GEMM micro-kernel. Other compilers run the same loop one column at a
+// time.
+#if defined(__GNUC__) || defined(__clang__)
+#if defined(__AVX512F__)
+constexpr int kDwVL = 16;
+#elif defined(__AVX__)
+constexpr int kDwVL = 8;
+#else
+constexpr int kDwVL = 4;
+#endif
+using dwvec = float __attribute__((vector_size(kDwVL * sizeof(float))));
+#else
+constexpr int kDwVL = 1;
+using dwvec = float;
+#endif
+constexpr int kDwRB = 8;
+
+inline dwvec load_dwvec(const float* p) {
+  dwvec v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+/// Geometry of the zero-padded input a depthwise call reads. Padded column
+/// px = x + pad is split by phase px mod s into s planes of `rows` × `cols`
+/// (stride 1 has one phase: the padded plane itself), so output column ox
+/// reads tap kx at element ox + kx / s of phase kx mod s, and every tap of
+/// a tile is one unit-stride vector load. The planes cover every row and
+/// column a whole tile reads, including tile rows and lanes past the
+/// output's edge.
+struct PaddedPlanes {
+  int s, pad, rows, cols;
+  std::size_t phase_size() const {
+    return static_cast<std::size_t>(rows) * cols;
+  }
+};
+
+PaddedPlanes padded_planes(int k, int s, int pad, int oh, int ow) {
+  const int tile_rows = (oh + kDwRB - 1) / kDwRB * kDwRB;
+  return {s, pad, s * (tile_rows - 1) + k, std::max(ow, kDwVL) + (k - 1) / s};
+}
+
+/// Store the first `nr` rows of a tile, bias added last: row r goes to
+/// dst + r·ow. A row is written as a whole vector while that stays inside
+/// the channel's output plane [.., end). When ow < kDwVL the vector runs
+/// into the following rows, which are stored after it and overwrite it;
+/// only the plane's last rows are clipped. Kept out of line: inlined, its
+/// branches cost the tap loop registers (k = 7 ran about 30% slower).
+[[gnu::noinline]] void store_tile_rows(const dwvec* acc, float b, int nr,
+                                       float* dst, int ow, const float* end) {
+  for (int r = 0; r < nr; ++r, dst += ow) {
+    const dwvec o = b + acc[r];
+    if (end - dst >= kDwVL) {
+      std::memcpy(dst, &o, sizeof o);
+    } else {
+      float lanes[kDwVL];
+      std::memcpy(lanes, &o, sizeof o);
+      for (int l = 0; dst + l < end; ++l) dst[l] = lanes[l];
     }
   }
 }
 
-/// Lowest i >= 0 with s·i + d >= 0, and one past the highest i with
-/// s·i + d < n: the outputs a tap at input offset d reaches.
-inline int first_in_bounds(int d, int s) {
-  return d >= 0 ? 0 : (s - 1 - d) / s;
-}
-inline int end_in_bounds(int d, int s, int n) {
-  return n - 1 - d >= 0 ? (n - 1 - d) / s + 1 : 0;
-}
-
-/// Strided depthwise (stride s >= 2) over one channel. Output column ox
-/// reads input column s·ox − pad + kx, so once every input row is split
-/// into its s column phases (`phases`: s planes of h × cw), each tap
-/// (ky, kx) reads a contiguous run of one phase plane, and the outputs it
-/// reaches form a sub-rectangle of the plane: the convolution becomes k·k
-/// unit-stride axpy sweeps into a zeroed output, borders included. Every
-/// output adds its in-bounds taps to zero in (ky, kx) order and the bias
-/// last, the order of depthwise_conv2d_ref, so the two agree bitwise.
-void depthwise_strided(const float* MURMUR_RESTRICT ic,
-                       const float* MURMUR_RESTRICT wc, int h, int w, int k,
-                       int s, int pad, float b, int oh, int ow, int cw,
-                       float* MURMUR_RESTRICT phases,
-                       float* MURMUR_RESTRICT oc) {
-  const std::size_t plane = static_cast<std::size_t>(h) * cw;
-  for (int y = 0; y < h; ++y) {
+/// One channel of the fp32 depthwise conv: copy the channel into the
+/// interior of the (already zeroed) phase planes, then run the register
+/// tile over the output. Each output adds all k·k taps to a +0 accumulator
+/// in (ky, kx) order and the bias last, depthwise_conv2d_ref's order. A
+/// tap the reference skips reads a padded zero here, and adding w·0 = ±0
+/// to an accumulator that started at +0 (so is never −0) changes nothing
+/// for finite w, so the two agree bitwise. Every tile, full or not, runs
+/// the same tap loop, so all see the same FMA contraction. The last tile
+/// of a row that is at least a vector wide starts at ow − kDwVL and
+/// recomputes a few outputs of its neighbour (to the same bits), so every
+/// store of such a row is a whole vector inside the row. KT / ST fix k and
+/// s at compile time (0: read them from k_rt / g.s).
+template <int KT, int ST>
+void depthwise_channel(const float* MURMUR_RESTRICT ic, int h, int w,
+                       const float* MURMUR_RESTRICT wc, int k_rt, float b,
+                       const PaddedPlanes& g, float* MURMUR_RESTRICT planes,
+                       int oh, int ow, float* MURMUR_RESTRICT oc) {
+  const int k = KT ? KT : k_rt;
+  const int s = ST ? ST : g.s;
+  const std::size_t phase = g.phase_size();
+  for (int y = 0; y < h && y + g.pad < g.rows; ++y) {
     const float* MURMUR_RESTRICT row = ic + static_cast<std::size_t>(y) * w;
+    float* MURMUR_RESTRICT prow =
+        planes + static_cast<std::size_t>(y + g.pad) * g.cols;
     for (int p = 0; p < s; ++p) {
-      float* MURMUR_RESTRICT dst =
-          phases + p * plane + static_cast<std::size_t>(y) * cw;
-      const int n = (w - p + s - 1) / s;
-      for (int j = 0; j < n; ++j) dst[j] = row[p + j * s];
+      // First input column of phase p, and its element in the phase row.
+      const int x0 = ((p - g.pad) % s + s) % s;
+      float* MURMUR_RESTRICT dst = prow + p * phase + (x0 + g.pad) / s;
+      const int n = std::min((w - x0 + s - 1) / s, g.cols - (x0 + g.pad) / s);
+      for (int j = 0; j < n; ++j) dst[j] = row[x0 + j * s];
     }
   }
-  const std::size_t n = static_cast<std::size_t>(oh) * ow;
-  for (std::size_t i = 0; i < n; ++i) oc[i] = 0.0f;
-  for (int ky = 0; ky < k; ++ky) {
-    const int oy_lo = first_in_bounds(ky - pad, s);
-    const int oy_hi = std::min(oh, end_in_bounds(ky - pad, s, h));
-    for (int kx = 0; kx < k; ++kx) {
-      const int d = kx - pad;
-      const int ox_lo = first_in_bounds(d, s);
-      const int ox_hi = std::min(ow, end_in_bounds(d, s, w));
-      const int span = ox_hi - ox_lo;
-      if (span <= 0 || oy_hi <= oy_lo) continue;
-      // Input column s·ox + d is element ox + (d − phase) / s of its phase.
-      const int phase = ((d % s) + s) % s;
-      const float wv = wc[ky * k + kx];
-      const float* MURMUR_RESTRICT ip =
-          phases + phase * plane +
-          static_cast<std::size_t>(oy_lo * s - pad + ky) * cw +
-          (ox_lo + (d - phase) / s);
-      float* MURMUR_RESTRICT op =
-          oc + static_cast<std::size_t>(oy_lo) * ow + ox_lo;
-      const std::size_t istep = static_cast<std::size_t>(s) * cw;
-      for (int oy = oy_lo; oy < oy_hi; ++oy, ip += istep, op += ow)
-        for (int x = 0; x < span; ++x) op[x] += wv * ip[x];
+  const float* end = oc + static_cast<std::size_t>(oh) * ow;
+  for (int y0 = 0; y0 < oh; y0 += kDwRB) {
+    const float* MURMUR_RESTRICT tile_in =
+        planes + static_cast<std::size_t>(s * y0) * g.cols;
+    for (int xt = 0; xt < ow; xt += kDwVL) {
+      const int x0 = std::max(0, std::min(xt, ow - kDwVL));
+      // Padded row j of the tile feeds output row r through tap row
+      // ky = j − s·r: each row is loaded once per kx and every output
+      // still takes its taps in (ky, kx) order.
+      dwvec acc[kDwRB] = {};
+#pragma GCC unroll 32
+      for (int j = 0; j < s * (kDwRB - 1) + k; ++j) {
+#pragma GCC unroll 8
+        for (int kx = 0; kx < k; ++kx) {
+          const dwvec v = load_dwvec(tile_in + (kx % s) * phase +
+                                     static_cast<std::size_t>(j) * g.cols +
+                                     x0 + kx / s);
+#pragma GCC unroll 8
+          for (int r = 0; r < kDwRB; ++r) {
+            const int ky = j - s * r;
+            if (ky >= 0 && ky < k) acc[r] += wc[ky * k + kx] * v;
+          }
+        }
+      }
+      store_tile_rows(acc, b, std::min(kDwRB, oh - y0),
+                      oc + static_cast<std::size_t>(y0) * ow + x0, ow, end);
     }
   }
-  for (std::size_t i = 0; i < n; ++i) oc[i] = b + oc[i];
+}
+
+using DepthwiseChannelFn = void (*)(const float*, int, int, const float*, int,
+                                    float, const PaddedPlanes&, float*, int,
+                                    int, float*);
+
+template <int ST>
+DepthwiseChannelFn depthwise_channel_for_k(int k) {
+  switch (k) {
+    case 3: return depthwise_channel<3, ST>;
+    case 5: return depthwise_channel<5, ST>;
+    case 7: return depthwise_channel<7, ST>;
+    default: return depthwise_channel<0, ST>;
+  }
 }
 
 }  // namespace
@@ -126,25 +176,25 @@ void depthwise_strided(const float* MURMUR_RESTRICT ic,
 void depthwise_conv2d(const float* in, int channels, int h, int w,
                       const float* weights, const float* bias, int k,
                       int stride, int pad, float* out) {
+  assert(stride >= 1 && pad >= 0);
   const int oh = conv_out_size(h, k, stride, pad);
   const int ow = conv_out_size(w, k, stride, pad);
-  if (stride == 1) {
-    for (int c = 0; c < channels; ++c)
-      depthwise_stride1(in + static_cast<std::size_t>(c) * h * w,
-                        weights + static_cast<std::size_t>(c) * k * k, h, w, k,
-                        pad, bias ? bias[c] : 0.0f, oh, ow,
-                        out + static_cast<std::size_t>(c) * oh * ow);
-    return;
-  }
-  const int cw = (w + stride - 1) / stride;
+  if (oh <= 0 || ow <= 0) return;
+  const PaddedPlanes g = padded_planes(k, stride, pad, oh, ow);
+  const DepthwiseChannelFn run = stride == 1   ? depthwise_channel_for_k<1>(k)
+                                 : stride == 2 ? depthwise_channel_for_k<2>(k)
+                                               : depthwise_channel<0, 0>;
   Workspace& ws = Workspace::tls();
   Workspace::Frame frame(ws);
-  float* phases = ws.alloc(static_cast<std::size_t>(stride) * h * cw);
+  const std::size_t n = static_cast<std::size_t>(stride) * g.phase_size();
+  float* planes = ws.alloc(n);
+  // Each channel overwrites the same interior, so the padding stays zero.
+  std::fill(planes, planes + n, 0.0f);
   for (int c = 0; c < channels; ++c)
-    depthwise_strided(in + static_cast<std::size_t>(c) * h * w,
-                      weights + static_cast<std::size_t>(c) * k * k, h, w, k,
-                      stride, pad, bias ? bias[c] : 0.0f, oh, ow, cw, phases,
-                      out + static_cast<std::size_t>(c) * oh * ow);
+    run(in + static_cast<std::size_t>(c) * h * w, h, w,
+        weights + static_cast<std::size_t>(c) * k * k, k,
+        bias ? bias[c] : 0.0f, g, planes, oh, ow,
+        out + static_cast<std::size_t>(c) * oh * ow);
 }
 
 void depthwise_conv2d_ref(const float* in, int channels, int h, int w,

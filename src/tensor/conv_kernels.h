@@ -1,15 +1,16 @@
 // Direct convolution kernels: a fast depthwise path and naive references.
 //
-// The depthwise kernel is the supernet's second-hottest operation (every
-// MBConv block runs one at the elastic kernel size). `depthwise_conv2d`
-// reduces to one unit-stride multiply-accumulate sweep per tap over the
-// sub-rectangle of outputs the tap reaches, borders included, so no bounds
-// check sits in an inner loop and every sweep auto-vectorizes. Stride 1
-// sweeps the input plane directly; stride s > 1 first splits each row into
-// its s column phases so every tap reads a contiguous run. The `_ref`
-// variants are checked quad-loops kept for differential testing; the
-// strided kernel keeps `depthwise_conv2d_ref`'s accumulation order and
-// matches it bitwise.
+// The fp32 depthwise kernel runs one register-tiled tap loop for every
+// stride. Each channel is copied into zero-padded planes in the calling
+// thread's Workspace (stride s > 1 splits every padded row into its s
+// column phases, so each tap still reads a contiguous run), and a tile of
+// output rows × one vector of columns accumulates in registers with no
+// bounds check in the loop. Every stride adds each output's taps to +0 in
+// (ky, kx) order and the bias last, `depthwise_conv2d_ref`'s order, so the
+// two agree bit for bit for finite weights. The reference skips an
+// out-of-bounds tap while the kernel multiplies a padded zero, so an ±inf
+// weight there gives NaN in the kernel only. The `_ref` variants are
+// checked quad-loops kept for differential testing.
 //
 // All kernels operate on a single image in CHW layout with square kernels,
 // symmetric zero padding and row-major contiguous storage.

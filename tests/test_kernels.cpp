@@ -4,12 +4,13 @@
 // counterpart across awkward shapes — odd H/W, pad > 0, strides 2 and 3,
 // groups > 1, elastic kernel crops, and sizes straddling the parallel
 // threshold. Where a fast path keeps the reference's accumulation order
-// (stride-2 depthwise, the in-place BN + hard-swish epilogue) the check is
-// bitwise. Also covers the kernel pool's task primitive (nesting, chunk
-// counts, exceptions), Workspace reuse (zero steady-state heap
-// allocation) and the cropped-weight cache.
+// (depthwise at every stride, the in-place BN + hard-swish epilogue) the
+// check is bitwise. Also covers the kernel pool's task primitive
+// (nesting, chunk counts, exceptions), Workspace reuse (zero steady-state
+// heap allocation) and the cropped-weight cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -305,41 +306,57 @@ TEST(DepthwiseConv, MatchesReference) {
   }
 }
 
-TEST(DepthwiseConv, Stride2MatchesTapOrderReferenceBitwise) {
-  // The strided kernel adds each output's in-bounds taps to zero in
-  // (ky, kx) order and the bias last, exactly like the reference, so the
-  // two must agree bit for bit (both sit in the kernel translation unit, so
-  // both see the same FMA contraction).
+TEST(DepthwiseConv, MatchesTapOrderReferenceBitwise) {
+  // Every stride adds each output's taps to +0 in (ky, kx) order and the
+  // bias last, exactly like the reference, so the two must agree bit for
+  // bit (both sit in the kernel translation unit, so both see the same FMA
+  // contraction). The inputs are hard-swish outputs, so about one in
+  // fifteen is −0.0.
   Rng rng(61);
   struct Case {
-    int c, h, w;
+    int c, h, w, stride;
   };
   const Case cases[] = {
-      {1, 9, 9},    {3, 8, 10},   {2, 13, 6},   {4, 2, 5},    {2, 5, 2},
-      {1, 1, 1},    {16, 112, 112}, {16, 56, 28}, {16, 28, 56}, {8, 27, 29},
+      // Stride 1 at the supernet's shapes, then sides that are not a
+      // multiple of the vector width or of the row tile.
+      {16, 112, 112, 1}, {16, 56, 56, 1}, {32, 28, 28, 1}, {80, 14, 14, 1},
+      {112, 14, 14, 1},  {160, 7, 7, 1},  {3, 1, 1, 1},    {2, 2, 2, 1},
+      {4, 9, 7, 1},      {3, 13, 11, 1},  {2, 5, 17, 1},   {1, 19, 33, 1},
+      // Stride 2.
+      {1, 9, 9, 2},      {3, 8, 10, 2},   {2, 13, 6, 2},   {4, 2, 5, 2},
+      {2, 5, 2, 2},      {1, 1, 1, 2},    {16, 112, 112, 2}, {16, 56, 28, 2},
+      {16, 28, 56, 2},   {8, 27, 29, 2},
+      // Stride 3.
+      {4, 13, 11, 3},    {2, 9, 10, 3},
   };
+  std::size_t negative_zeros = 0;
   for (const auto& cs : cases) {
     for (const int k : {3, 5, 7}) {
       const int pad = k / 2;
-      const int oh = conv_out_size(cs.h, k, 2, pad);
-      const int ow = conv_out_size(cs.w, k, 2, pad);
-      const auto in =
-          random_vec(static_cast<std::size_t>(cs.c) * cs.h * cs.w, rng);
+      const int oh = conv_out_size(cs.h, k, cs.stride, pad);
+      const int ow = conv_out_size(cs.w, k, cs.stride, pad);
+      auto in = random_vec(static_cast<std::size_t>(cs.c) * cs.h * cs.w, rng,
+                           2.0f);
+      for (auto& v : in) {
+        v = v * std::clamp(v + 3.0f, 0.0f, 6.0f) / 6.0f;
+        negative_zeros += v == 0.0f && std::signbit(v);
+      }
       const auto wts = random_vec(static_cast<std::size_t>(cs.c) * k * k, rng);
       const auto bias = random_vec(static_cast<std::size_t>(cs.c), rng);
       const std::size_t on = static_cast<std::size_t>(cs.c) * oh * ow;
       std::vector<float> got(on, -99.0f), want(on, 99.0f);
       for (const float* b : {bias.data(), static_cast<const float*>(nullptr)}) {
         kernels::depthwise_conv2d(in.data(), cs.c, cs.h, cs.w, wts.data(), b,
-                                  k, 2, pad, got.data());
+                                  k, cs.stride, pad, got.data());
         kernels::depthwise_conv2d_ref(in.data(), cs.c, cs.h, cs.w, wts.data(),
-                                      b, k, 2, pad, want.data());
+                                      b, k, cs.stride, pad, want.data());
         ASSERT_EQ(std::memcmp(got.data(), want.data(), on * sizeof(float)), 0)
             << "c=" << cs.c << " h=" << cs.h << " w=" << cs.w << " k=" << k
-            << " bias=" << (b != nullptr);
+            << " s=" << cs.stride << " bias=" << (b != nullptr);
       }
     }
   }
+  EXPECT_GT(negative_zeros, 0u);
 }
 
 TEST(BatchNorm, InPlaceEpilogueMatchesForwardThenActivationBitwise) {
@@ -535,11 +552,12 @@ TEST(Workspace, NestedFramesUnwindLifo) {
 
 TEST(Conv2D, SteadyStateForwardIsAllocationFree) {
   Rng rng(73);
-  // A grouped conv (im2col + GEMM) and a stride-2 depthwise conv (column
-  // phase planes), both from the workspace arena.
+  // A grouped conv (im2col + GEMM) and stride-1 and stride-2 depthwise
+  // convs (zero-padded planes), all from the workspace arena.
   nn::Conv2D grouped(16, 32, 5, 1, 1, rng);
+  nn::Conv2D depthwise(16, 16, 7, 1, 16, rng);
   nn::Conv2D strided(16, 16, 7, 2, 16, rng);
-  for (nn::Conv2D* conv : {&grouped, &strided}) {
+  for (nn::Conv2D* conv : {&grouped, &depthwise, &strided}) {
     conv->set_active_kernel(5);
     const Tensor input = Tensor::randn({1, 16, 14, 14}, rng);
     Tensor out(conv->out_shape(input.shape()));
